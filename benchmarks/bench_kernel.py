@@ -156,7 +156,6 @@ def run_bench(quick: bool = False) -> dict:
     graph, index, prepared = build_prepared()
     hubs = hub_queries(graph)
     backends = list(available_backends())
-    numba_backend = get_backend("numba")
     y = np.zeros(graph.n_nodes)
 
     results = []
@@ -210,7 +209,6 @@ def run_bench(quick: bool = False) -> dict:
         "queries": hubs,
         "reps": REPS,
         "trials": TRIALS,
-        "numba_jit_active": bool(numba_backend.jit_active),
         "results": results,
         "speedup": workload_speedups,
         "headline": headline,
@@ -221,8 +219,7 @@ def print_report(report: dict) -> None:
     hubs = report["queries"]
     print(
         f"kernel bench — scale-free n={N_NODES} m={N_EDGES} c={C}, "
-        f"hub queries {hubs}, numba jit "
-        f"{'active' if report['numba_jit_active'] else 'inactive (fallback)'}"
+        f"hub queries {hubs}"
     )
     for row in report["results"]:
         lat = row["latency_us"]

@@ -63,7 +63,7 @@ Examples
     python -m repro.cli stats --dataset Citation
     python -m repro.cli build --dataset Citation --output citation.npz
     python -m repro.cli query --index citation.npz --node 5 --k 10
-    python -m repro.cli query --index citation.npz --node 5 --backend numpy
+    python -m repro.cli query --index citation.npz --node 5 --backend python
     python -m repro.cli query --index citation.npz --batch 5,9,5,12 --k 10
     python -m repro.cli update --index citation.npz --add 0:5:2.0,3:4 \\
         --remove 1:2 --node 5 --output citation-v2.npz
@@ -97,7 +97,11 @@ from typing import List, Optional
 from .core import KDash, load_index, save_index
 from .datasets import DATASET_NAMES, load_dataset
 from .graph import graph_statistics, read_edge_list
-from .query.backends import ENV_VAR as _BACKEND_ENV_VAR, available_backends
+from .query.backends import (
+    DEFAULT_BACKEND,
+    ENV_VAR as _BACKEND_ENV_VAR,
+    available_backends,
+)
 
 _EXPERIMENTS = (
     "fig2",
@@ -1444,8 +1448,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=available_backends(),
         default=None,
         help="kernel backend for the pruned scans (default: "
-        f"${_BACKEND_ENV_VAR} if set, else 'python'); all backends are "
-        "bit-identical",
+        f"${_BACKEND_ENV_VAR} if set, else {DEFAULT_BACKEND!r}); all "
+        "backends are bit-identical",
     )
 
     # Shared by query/serve/loadgen: the precision tier.  Exported as

@@ -96,10 +96,10 @@ class KDash:
     reordering_seed:
         Seed for the stochastic reorderings (Louvain sweeps / random).
     kernel_backend:
-        Kernel backend for the pruned scan — ``"python"``, ``"numpy"``,
-        ``"numba"``, or ``None`` for the ``REPRO_KERNEL_BACKEND``
-        environment default.  Every backend is bit-identical; see
-        :mod:`repro.query.backends`.
+        Kernel backend for the pruned scan — ``"numpy"`` (the
+        default), ``"python"`` (the scalar oracle), or ``None`` for
+        ``$REPRO_KERNEL_BACKEND`` if set, else the default.  Every
+        backend is bit-identical; see :mod:`repro.query.backends`.
 
     Examples
     --------

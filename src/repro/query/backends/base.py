@@ -4,8 +4,8 @@ A *kernel backend* is an interchangeable implementation of the two hot
 loops of the library — the Algorithm 4 pruned scan
 (:meth:`KernelBackend.scan`) and the within-shard Hölder-bounded scan
 (:meth:`KernelBackend.scan_shard`).  Backends trade implementation
-strategy (pure-Python loop, blocked numpy vectorisation, numba JIT) but
-are **forbidden** from trading answers:
+strategy (pure-Python loop, blocked numpy vectorisation) but are
+**forbidden** from trading answers:
 
 Exactness contract
 ------------------
@@ -70,7 +70,7 @@ class KernelBackend(Protocol):
     two indexes never share scratch space.
     """
 
-    #: Registry key (``"python"``, ``"numpy"``, ``"numba"``).
+    #: Registry key (``"python"``, ``"numpy"``).
     name: str
 
     def scan(

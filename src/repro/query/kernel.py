@@ -32,11 +32,11 @@ implementations it replaces:
 
 The scan *implementation* is pluggable: this module validates the
 arguments and dispatches to a registered kernel backend
-(:mod:`repro.query.backends`) — the scalar ``python`` reference, the
-blocked ``numpy`` vectorisation, or the ``numba`` JIT.  All backends are
+(:mod:`repro.query.backends`) — the blocked ``numpy`` vectorisation by
+default, or the scalar ``python`` reference.  All backends are
 bit-identical by contract; selection follows the explicit ``backend=``
 argument, then the index's construction-time choice, then the
-``REPRO_KERNEL_BACKEND`` environment variable.
+``REPRO_KERNEL_BACKEND`` environment variable, then ``numpy``.
 """
 
 from __future__ import annotations

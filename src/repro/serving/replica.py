@@ -60,12 +60,17 @@ A worker that hits an unexpected exception reports
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
+import pickle
 import queue as queue_module
 import time
+import zipfile
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.index_io import load_index
 from ..exceptions import InvalidParameterError, ServingError
@@ -77,6 +82,29 @@ from .snapshot import Snapshot
 #: Default seconds the pool waits on worker replies before declaring
 #: the worker dead.  Generous: snapshot loads on large graphs are slow.
 DEFAULT_TIMEOUT = 120.0
+
+
+@contextlib.contextmanager
+def read_snapshot_header(path: str, what: str = "snapshot"):
+    """The lazily read ``.npz`` archive of a snapshot, for header fields.
+
+    Only the members the caller indexes are read, so the payload stays
+    on disk.  An unreadable archive, or one missing a requested field,
+    raises :class:`~repro.exceptions.ServingError` naming ``what`` and
+    the path.
+    """
+    try:
+        with np.load(path, allow_pickle=True) as archive:
+            yield archive
+    except (
+        OSError,
+        ValueError,
+        KeyError,
+        EOFError,
+        pickle.UnpicklingError,
+        zipfile.BadZipFile,
+    ) as exc:
+        raise ServingError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def _report_worker_crash(result_q, worker_id: int) -> None:
@@ -296,6 +324,7 @@ class ReplicaPool:
             )
         if not isinstance(snapshot, Snapshot):
             snapshot = Snapshot(epoch=0, path=str(snapshot))
+        self._load_snapshot_meta(snapshot.path)
         self.snapshot = snapshot
         self.timeout = float(timeout)
         self._cache_size = cache_size
@@ -322,6 +351,13 @@ class ReplicaPool:
                     f"got {message!r}"
                 )
             ready += 1
+
+    def _load_snapshot_meta(self, path: str) -> None:
+        """Read what the gather side validates requests against: the
+        snapshot's node count (subclass hook; the shard pool also reads
+        its routing metadata)."""
+        with read_snapshot_header(path) as archive:
+            self.n_nodes = int(archive["n_nodes"])
 
     def _worker_args(self, worker_id: int) -> tuple:
         """The spawn arguments of one worker process (subclass hook)."""
@@ -361,6 +397,7 @@ class ReplicaPool:
     def broadcast_swap(self, snapshot: Snapshot) -> None:
         """Tell every worker to adopt ``snapshot`` (no barrier — the
         scheduler drains outstanding batches first and awaits the acks)."""
+        self._load_snapshot_meta(snapshot.path)
         for worker_id in range(self.n_workers):
             self.send(worker_id, ("swap", snapshot.epoch, snapshot.path))
         self.snapshot = snapshot

@@ -40,7 +40,7 @@ from ..exceptions import InvalidParameterError, ServingError
 from ..obs.metrics import NULL_REGISTRY
 from ..obs.tracing import NULL_TRACER
 from ..query.approx import PrecisionPolicy
-from ..validation import check_positive_int
+from ..validation import check_k, check_node_id, check_positive_int
 from .replica import ReplicaPool
 from .router import Router, make_router
 from .snapshot import Snapshot
@@ -119,18 +119,21 @@ class MicroBatchScheduler:
         :class:`~repro.query.approx.PrecisionPolicy`, ``None`` = the
         worker engine's default tier) rides the batch envelope as its
         canonical spec string, so mixed-precision traffic batches
-        freely.
+        freely.  An unknown node id or a non-positive ``k`` raises
+        here, before any state changes, instead of reaching a worker.
         """
+        query = check_node_id(int(query), self.pool.n_nodes, "query")
+        k = check_k(int(k))
         spec = None if precision is None else PrecisionPolicy.parse(precision).spec
         seq = self._next_seq
         self._next_seq += 1
-        worker_id = self.router.route(int(query), self.pool.n_workers)
+        worker_id = self.router.route(query, self.pool.n_workers)
         self.routed_counts[worker_id] += 1
         if self.metrics.enabled:
             self._submit_times[seq] = perf_counter()
         if self.tracer.enabled and self.tracer.sample():
             root = self.tracer.start(
-                "scheduler.query", tags={"seq": seq, "query": int(query), "k": int(k)}
+                "scheduler.query", tags={"seq": seq, "query": query, "k": k}
             )
             route = self.tracer.start(
                 "scheduler.route", parent=root, tags={"worker": worker_id}
@@ -138,7 +141,7 @@ class MicroBatchScheduler:
             self.tracer.finish(route)
             self._spans[seq] = root
         buffer = self._buffers[worker_id]
-        buffer.append((seq, int(query), int(k), spec))
+        buffer.append((seq, query, k, spec))
         if len(buffer) >= self.batch_size:
             self._dispatch(worker_id)
         return seq

@@ -66,7 +66,7 @@ from ..obs.tracing import NULL_TRACER, remote_span
 from ..query.approx import PrecisionPolicy
 from ..query.kernel import ScanResult, scan_to_topk
 from ..validation import check_k, check_node_id, check_positive_int
-from .replica import ReplicaPool, _report_worker_crash
+from .replica import ReplicaPool, _report_worker_crash, read_snapshot_header
 from .snapshot import Snapshot
 
 
@@ -272,6 +272,9 @@ class ShardPool(ReplicaPool):
     _WORKER_TARGET = staticmethod(shard_worker_main)
     _WORKER_NAME = "kdash-shard"
 
+    #: Shard count of the adopted manifest (``None`` before the first).
+    n_shards: Optional[int] = None
+
     def __init__(
         self,
         snapshot,
@@ -279,7 +282,7 @@ class ShardPool(ReplicaPool):
         timeout: float = 120.0,
     ) -> None:
         path = snapshot.path if isinstance(snapshot, Snapshot) else str(snapshot)
-        self._load_manifest_meta(path)
+        self._load_snapshot_meta(path)
         super().__init__(
             snapshot,
             n_workers=self.n_shards,
@@ -288,13 +291,14 @@ class ShardPool(ReplicaPool):
             timeout=timeout,
         )
 
-    def _load_manifest_meta(self, path: str) -> None:
-        """Read the routing metadata every gather side needs."""
-        import pickle
-        import zipfile
+    def _load_snapshot_meta(self, path: str) -> None:
+        """Read the routing metadata every gather side needs.
 
-        try:
-            manifest = np.load(path, allow_pickle=True)
+        A manifest with a different shard count than the one adopted
+        before is refused before anything changes: re-sharding to
+        another count needs a new pool (worker ``i`` owns shard ``i``).
+        """
+        with read_snapshot_header(path, "sharded manifest") as manifest:
             version = int(manifest["format_version"])
             if version != 3:
                 raise ServingError(
@@ -302,20 +306,16 @@ class ShardPool(ReplicaPool):
                     f"{path!r} has format version {version} (serve v1/v2 "
                     "archives through ReplicaPool, or shard them first)"
                 )
-            self.n_shards = int(manifest["n_shards"])
-            self.n_nodes = int(manifest["n_nodes"])
-            self.assignment = np.asarray(manifest["assignment"], dtype=np.int64)
-        except (
-            OSError,
-            ValueError,
-            KeyError,
-            EOFError,
-            pickle.UnpicklingError,
-            zipfile.BadZipFile,
-        ) as exc:
+            n_shards = int(manifest["n_shards"])
+            n_nodes = int(manifest["n_nodes"])
+            assignment = np.asarray(manifest["assignment"], dtype=np.int64)
+        if self.n_shards not in (None, n_shards):
             raise ServingError(
-                f"cannot read sharded manifest {path!r}: {exc}"
-            ) from exc
+                f"snapshot {path!r} has {n_shards} shards but the pool "
+                f"runs {self.n_shards} workers; re-sharding to a "
+                "different shard count needs a new pool"
+            )
+        self.n_shards, self.n_nodes, self.assignment = n_shards, n_nodes, assignment
 
     def home_worker(self, query: int) -> int:
         """The worker owning ``query``'s home shard."""
@@ -339,19 +339,6 @@ class ShardPool(ReplicaPool):
             self.send(worker_id, ("remote", batch_id, list(requests)))
         else:
             self.send(worker_id, ("remote", batch_id, list(requests), list(ctxs)))
-
-    def broadcast_swap(self, snapshot: Snapshot) -> None:
-        """Adopt a new sharded snapshot: workers reload their shard, the
-        gather side reloads the routing metadata (the partition may have
-        changed across a re-shard)."""
-        self._load_manifest_meta(snapshot.path)
-        if self.n_shards != self.n_workers:
-            raise ServingError(
-                f"snapshot {snapshot.path!r} has {self.n_shards} shards but "
-                f"the pool runs {self.n_workers} workers; re-sharding to a "
-                "different shard count needs a new pool"
-            )
-        super().broadcast_swap(snapshot)
 
 
 class _Gather:
@@ -498,11 +485,11 @@ class ShardedScheduler:
         ``best_effort`` request is promoted to exact — never a looser
         answer than asked for.
         """
+        query = check_node_id(int(query), self.pool.n_nodes, "query")
+        k = check_k(int(k))
         policy = PrecisionPolicy.resolve(precision) if precision is not None else None
         if policy is not None and not policy.is_exact:
             self.escalated_queries += 1
-        query = check_node_id(int(query), self.pool.n_nodes, "query")
-        k = check_k(int(k))
         seq = self._next_seq
         self._next_seq += 1
         worker_id = self.pool.home_worker(query)

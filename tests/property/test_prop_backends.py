@@ -22,7 +22,6 @@ one — fails the property.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, strategies as st
 
 from repro import DynamicKDash, KDash
@@ -31,7 +30,6 @@ from repro.core.bfs_tree import BFSTree
 from repro.core.sharded import canonical_heap, scan_shard_reference
 from repro.graph import erdos_renyi_graph, grid_graph, scale_free_digraph
 from repro.query.backends import available_backends, get_backend
-from repro.query.backends.numba_jit import NUMBA_AVAILABLE
 
 ORACLE = "python"
 
@@ -240,30 +238,3 @@ class TestDynamicBackendAgreement:
                 for dyn in dynamics.values():
                     dyn.rebuild()
 
-
-class TestNumbaFallbackPath:
-    """The numba backend's graceful degradation is itself under test."""
-
-    def test_jit_state_is_consistent(self):
-        backend = get_backend("numba")
-        if not NUMBA_AVAILABLE:
-            # Without numba the backend must report inactive JIT and
-            # serve numpy-delegated answers (exactness already covered
-            # by the differential battery above, which includes it).
-            assert not backend.jit_active
-        else:  # pragma: no cover - exercised only with numba
-            assert backend.jit_active or backend._degraded
-
-    @pytest.mark.slow
-    @pytest.mark.skipif(not NUMBA_AVAILABLE, reason="numba not installed")
-    def test_jit_warmup_matches_oracle(self):  # pragma: no cover
-        """First JIT compilation + self-check on a real scan (slow)."""
-        graph = scale_free_digraph(200, 800, seed=3)
-        prepared = KDash(graph, c=0.9).build()._prepared
-        y = np.zeros(graph.n_nodes)
-        rows = prepared.scatter_column(y, 0)
-        total_mass = prepared.total_mass_of(0)
-        want = get_backend(ORACLE).scan(prepared, y, (0,), total_mass=total_mass, k=10)
-        got = get_backend("numba").scan(prepared, y, (0,), total_mass=total_mass, k=10)
-        assert got == want
-        y[rows] = 0.0

@@ -316,19 +316,22 @@ class TestDrainAndSwap:
 
 
 class TestWorkerCrash:
-    def test_crash_mid_wave_still_answers_everything(self, snapshot):
-        """An out-of-range query sneaked past validation (n_nodes=None)
-        kills the worker; the in-flight request still gets a terminal
-        ``error`` response carrying the crash, and later requests are
-        refused with the same cause instead of hanging."""
+    def test_crash_mid_wave_still_answers_everything(self, snapshot, tmp_path):
+        """A worker that dies (here: a swap to a missing archive, sent
+        behind the door's back) fails the next wave; the in-flight
+        request still gets a terminal ``error`` response carrying the
+        crash, and later requests are refused with the same cause
+        instead of hanging."""
         with ReplicaPool(snapshot, 1) as pool:
             door = FrontDoor(
                 MicroBatchScheduler(pool, batch_size=4), port=0, n_nodes=None
             )
             try:
                 door.start()
+                missing = str(tmp_path / "missing.npz")
+                pool.send(0, ("swap", snapshot.epoch + 1, missing))
                 with FrontDoorClient(*door.address) as client:
-                    response = client.query(10 * N, k=5)
+                    response = client.query(0, k=5)
                     assert response["status"] == "error"
                     assert "service failed" in response["message"]
                     follow_up = client.query(0, k=5)

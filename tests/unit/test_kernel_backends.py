@@ -3,9 +3,8 @@
 The differential battery (``tests/property/test_prop_backends.py``)
 proves the backends bit-identical; this module pins the *plumbing*:
 registry resolution order (argument → index → environment → default),
-fail-fast validation, the lazy plain-list mirrors that only the
-``python`` reference loop needs, and the numba backend's graceful
-degradation when numba is not importable.
+fail-fast validation, and the lazy plain-list mirrors that only the
+``python`` reference loop needs.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from repro.graph import scale_free_digraph
 from repro.query.backends import (
     DEFAULT_BACKEND,
     ENV_VAR,
-    NUMBA_AVAILABLE,
     available_backends,
     get_backend,
     register_backend,
@@ -33,7 +31,7 @@ def graph():
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert set(available_backends()) >= {"python", "numpy", "numba"}
+        assert set(available_backends()) >= {"python", "numpy"}
 
     def test_backends_are_singletons(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -132,19 +130,3 @@ class TestLazyPythonMirrors:
         assert prepared.uinv_indptr == prepared.uinv_indptr_arr.tolist()
         assert prepared.python_mirrors_built
 
-
-class TestNumbaDegradation:
-    def test_degraded_backend_still_serves(self, graph):
-        """With numba absent the backend delegates to numpy, exactly."""
-        prepared = KDash(graph, c=0.9).build()._prepared
-        y = prepared.workspace()
-        rows = prepared.scatter_column(y, 2)
-        total_mass = prepared.total_mass_of(2)
-        want = get_backend("python").scan(prepared, y, (2,), k=7, total_mass=total_mass)
-        got = get_backend("numba").scan(prepared, y, (2,), k=7, total_mass=total_mass)
-        prepared.clear_rows(y, rows)
-        assert got == want
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="numba is installed")
-    def test_jit_inactive_without_numba(self):
-        assert not get_backend("numba").jit_active

@@ -11,18 +11,22 @@ The happy-path suites prove the pool is *exact*; this one proves it is
   swap acks, or stats; result-count mismatches) raises immediately;
 - results cannot be taken before :meth:`drain`, epochs cannot move
   backwards, and a scheduler that loses results fails the load run
-  with a raise that survives ``python -O`` (no bare ``assert``).
+  with a raise that survives ``python -O`` (no bare ``assert``);
+- both schedulers refuse an unknown node id or a non-positive ``k`` at
+  submit, before any state changes, so no worker ever sees it.
 """
 
 import pytest
 
-from repro.core import DynamicKDash, load_index
-from repro.exceptions import InvalidParameterError, ServingError
+from repro.core import DynamicKDash, KDash, load_index
+from repro.exceptions import InvalidParameterError, NodeNotFoundError, ServingError
 from repro.graph import erdos_renyi_graph
 from repro.query import QueryEngine
 from repro.serving import (
     MicroBatchScheduler,
     ReplicaPool,
+    ShardPool,
+    ShardedScheduler,
     SnapshotPublisher,
     SnapshotStore,
     run_load,
@@ -31,11 +35,15 @@ from repro.serving import (
 N = 60
 
 
+def graph():
+    return erdos_renyi_graph(N, 0.08, seed=42)
+
+
 @pytest.fixture(scope="module")
 def store(tmp_path_factory):
     directory = tmp_path_factory.mktemp("error-snapshots")
     store = SnapshotStore(str(directory))
-    dyn = DynamicKDash(erdos_renyi_graph(N, 0.08, seed=42), c=0.9, rebuild_threshold=None)
+    dyn = DynamicKDash(graph(), c=0.9, rebuild_threshold=None)
     SnapshotPublisher(QueryEngine(dyn), store).publish()
     return store
 
@@ -43,6 +51,13 @@ def store(tmp_path_factory):
 @pytest.fixture
 def snapshot(store):
     return store.list_snapshots()[0]
+
+
+@pytest.fixture(scope="module")
+def sharded_snapshot(tmp_path_factory):
+    store = SnapshotStore(str(tmp_path_factory.mktemp("error-sharded")))
+    dyn = DynamicKDash(graph(), c=0.9, rebuild_threshold=None)
+    return SnapshotPublisher(QueryEngine(dyn), store, shard_spec=(2, "range")).publish()
 
 
 class TestWorkerCrashReporting:
@@ -59,11 +74,15 @@ class TestWorkerCrashReporting:
         # The crash site itself is in the report, not just its existence.
         assert "top_k_many" in message or "Error" in message
 
-    def test_crash_surfaces_through_scheduler_drain(self, snapshot):
+    def test_crash_surfaces_through_scheduler_drain(self, snapshot, tmp_path):
         with ReplicaPool(snapshot, 1) as pool:
             scheduler = MicroBatchScheduler(pool, batch_size=2)
-            scheduler.submit(10 * N, k=5)
-            scheduler.submit(0, k=5)  # fills the batch -> dispatch
+            # The scheduler refuses bad requests at submit, so the crash
+            # comes from the worker side: a swap to a missing archive.
+            missing = str(tmp_path / "missing.npz")
+            pool.send(0, ("swap", snapshot.epoch + 1, missing))
+            scheduler.submit(0, k=5)
+            scheduler.submit(1, k=5)  # fills the batch -> dispatch
             with pytest.raises(ServingError, match="Traceback"):
                 scheduler.drain()
 
@@ -117,6 +136,50 @@ class TestSchedulerErrorPaths:
             pool.send(0, ("batch", 0, [(3, 5)]))  # a results reply, not stats
             with pytest.raises(ServingError, match="collecting stats"):
                 pool.collect_stats()
+
+
+class TestSubmitValidation:
+    """A bad request raises at submit and changes nothing: no sequence
+    number, routing or escalation is counted, and the same worker
+    processes answer the next request exactly."""
+
+    BAD = [
+        (N, 5, NodeNotFoundError),
+        (-1, 5, NodeNotFoundError),
+        (3, 0, InvalidParameterError),
+    ]
+
+    @pytest.fixture(params=["replica", "sharded"])
+    def tier(self, request, snapshot, sharded_snapshot):
+        if request.param == "replica":
+            pool = ReplicaPool(snapshot, 2)
+            scheduler = MicroBatchScheduler(pool, batch_size=1)
+        else:
+            pool = ShardPool(sharded_snapshot)
+            scheduler = ShardedScheduler(pool, batch_size=1)
+        with pool:
+            yield pool, scheduler
+
+    def test_bad_request_changes_nothing(self, tier):
+        pool, scheduler = tier
+        pids = [p.pid for p in pool._workers]
+        for query, k, error in self.BAD:
+            for precision in (None, "bounded"):
+                with pytest.raises(error):
+                    scheduler.submit(query, k, precision=precision)
+        assert scheduler.routed_counts == [0] * pool.n_workers
+        assert scheduler.outstanding == 0
+        seq = scheduler.submit(3, 5)
+        assert seq == 0
+        scheduler.drain()
+        [got] = scheduler.take_results([seq])
+        want = QueryEngine(KDash(graph(), c=0.9).build()).top_k(3, 5)
+        assert got.items == want.items
+        agg = scheduler.aggregate_stats(scheduler.collect_stats())
+        assert agg["queries_served"] == 1
+        assert agg["escalated_queries"] == 0
+        assert [p.pid for p in pool._workers] == pids
+        assert all(p.is_alive() for p in pool._workers)
 
 
 class _LossyScheduler:

@@ -16,6 +16,7 @@ from repro.query import QueryEngine
 from repro.serving import (
     ShardPool,
     ShardedScheduler,
+    Snapshot,
     SnapshotPublisher,
     SnapshotStore,
     make_queries,
@@ -68,6 +69,17 @@ class TestShardPool:
         with ShardPool(snapshot) as pool:
             for node in range(0, N, 9):
                 assert pool.home_worker(node) == int(pool.assignment[node])
+
+    def test_swap_to_another_shard_count_refused(self, tmp_path, snapshot):
+        dyn = DynamicKDash(clustered_graph(), c=0.95, rebuild_threshold=None)
+        other = SnapshotPublisher(
+            QueryEngine(dyn), SnapshotStore(str(tmp_path)), shard_spec=(2, "range")
+        ).publish()
+        with ShardPool(snapshot) as pool:
+            with pytest.raises(ServingError, match="needs a new pool"):
+                pool.broadcast_swap(Snapshot(epoch=1, path=other.path))
+            assert pool.n_shards == N_COMMUNITIES
+            assert pool.snapshot == snapshot
 
     def test_rejects_single_index_archives(self, tmp_path, er_graph):
         from repro.core import save_index
