@@ -90,6 +90,7 @@ Consecutive ``add``/``remove`` lines are flushed as **one** update batch
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -649,8 +650,7 @@ def _cmd_serve(args) -> int:
             ignored.append("--cache-size (shard workers merge partials, no result cache)")
         if ignored:
             print("note: --sharded ignores " + "; ".join(ignored))
-        return _serve_sharded(args, lines)
-    if args.workers:
+    if args.sharded or args.workers:
         return _serve_pool(args, lines)
 
     registry, tracer = _serve_telemetry(args)
@@ -736,182 +736,112 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _serve_pool(args, lines: List[str]) -> int:
-    """``serve --workers N``: the stream through the replica-pool tier.
+@contextlib.contextmanager
+def _serving_tier(args, registry, tracer):
+    """Publish ``args.index`` as snapshot epoch 0 and serve it from a pool.
 
-    Updates flow through the single-writer publisher (one snapshot per
-    flushed batch, hot-swapped into every worker at a barrier); queries
-    and batches are micro-batched and routed by the configured policy.
+    The one place the CLI builds the serving tier, for ``serve
+    --workers``/``--sharded``/``--port`` and ``loadgen``: a single-writer
+    publisher (re-sharding every snapshot under ``--sharded``), then a
+    :class:`~repro.serving.sharded.ShardPool` with its
+    :class:`~repro.serving.sharded.ShardedScheduler`, or a
+    :class:`~repro.serving.replica.ReplicaPool` (``--workers``, default
+    2) with a :class:`~repro.serving.scheduler.MicroBatchScheduler`.
+    Yields ``(publisher, pool, scheduler)``; on exit the pool is closed
+    and a default snapshot directory removed.
     """
     import tempfile
-    import time
 
     from .core import DynamicKDash
-    from .exceptions import GraphError
     from .query import QueryEngine
     from .serving import (
         MicroBatchScheduler,
         ReplicaPool,
-        SnapshotPublisher,
-        SnapshotStore,
-    )
-
-    index = load_index(args.index)
-    graph_labels = index.graph
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
-    registry, tracer = _serve_telemetry(args)
-
-    with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
-        store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(publisher_engine, store, registry=registry)
-        snapshot = publisher.publish()
-        print(
-            f"published snapshot epoch {snapshot.epoch}; starting "
-            f"{args.workers} workers (router {args.router}, "
-            f"batch size {args.batch_size})"
-        )
-        pool = ReplicaPool(snapshot, args.workers, cache_size=args.cache_size)
-        scheduler = MicroBatchScheduler(
-            pool,
-            router=args.router,
-            batch_size=args.batch_size,
-            registry=registry,
-            tracer=tracer,
-        )
-        dump = _MetricsDump(
-            args.metrics_json,
-            args.metrics_interval,
-            lambda: _merged_pool_metrics(registry, pool),
-        )
-
-        def flush(inserts, deletes, first_line) -> Optional[str]:
-            try:
-                report, snap = publisher.apply_and_publish(inserts, deletes)
-            except GraphError as exc:
-                return f"line {first_line}: {exc}"
-            scheduler.publish(snap)
-            print(
-                f"[epoch {snap.epoch}] published batch: "
-                f"+{report.n_inserted}/-{report.n_deleted} edges, "
-                f"hot-swapped {pool.n_workers} workers"
-            )
-            return None
-
-        def on_query(node: int, k: int) -> None:
-            result = scheduler.run([node], k)[0]
-            top_node, top_p = result.items[0]
-            print(
-                f"query {node:>6d} top-{k}: "
-                f"{graph_labels.label_of(top_node)} "
-                f"{top_p:.8f}  [epoch {pool.snapshot.epoch}]"
-            )
-
-        def on_batch(queries: List[int], k: int) -> None:
-            t0 = time.perf_counter()
-            scheduler.run(queries, k)
-            seconds = time.perf_counter() - t0
-            print(
-                f"batch of {len(queries)} queries: "
-                f"{len(queries) / seconds:,.0f} q/s across "
-                f"{pool.n_workers} workers  [epoch {pool.snapshot.epoch}]"
-            )
-
-        def on_rebuild() -> None:
-            publisher.engine.rebuild()
-            snap = publisher.publish()
-            scheduler.publish(snap)
-            print(f"[epoch {snap.epoch}] forced rebuild published and hot-swapped")
-
-        t_start = time.perf_counter()
-        try:
-            code = _run_ops_stream(
-                lines,
-                args.k,
-                *_ticked_handlers(
-                    dump, [flush, on_query, on_batch, on_rebuild]
-                ),
-            )
-            if code != 0:
-                return code
-            total = time.perf_counter() - t_start
-            per_worker = scheduler.collect_stats()
-            agg = scheduler.aggregate_stats(per_worker)
-            print(
-                f"served {agg['queries_served']} queries in {total:.2f}s "
-                f"across {pool.n_workers} workers: "
-                f"{agg['snapshot_swaps']} snapshot swaps, "
-                f"hit rate {agg['hit_rate']:.2f}, "
-                f"routed {scheduler.routed_counts}"
-            )
-            _print_engine_stats(agg, header="final pool stats:")
-            _print_engine_stats(
-                publisher.engine.stats.as_dict(), header="final publisher stats:"
-            )
-            if registry is not None:
-                _print_latency_envelope(scheduler.latency)
-            dump.final()
-            _finish_trace(tracer, args.trace_jsonl)
-        finally:
-            pool.close()
-    return 0
-
-
-def _serve_sharded(args, lines: List[str]) -> int:
-    """``serve --sharded``: the stream through shard-owning workers.
-
-    The single-writer publisher re-shards the compacted index after
-    every flushed update batch and publishes a format-v3 manifest; the
-    :class:`~repro.serving.sharded.ShardedScheduler` routes queries to
-    their home shard, gathers remote candidates in descending bound
-    order, and skips bounded-out shards entirely — answers stay
-    bit-identical to single-process serving.
-    """
-    import tempfile
-    import time
-
-    from .core import DynamicKDash
-    from .exceptions import GraphError
-    from .query import QueryEngine
-    from .serving import (
         ShardPool,
         ShardedScheduler,
         SnapshotPublisher,
         SnapshotStore,
     )
 
-    index = load_index(args.index)
-    graph_labels = index.graph
     publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
+        DynamicKDash.from_index(load_index(args.index), rebuild_threshold=None)
     )
-
-    registry, tracer = _serve_telemetry(args)
-
+    shard_spec = (args.shards, args.partitioner) if args.sharded else None
     with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
-        store = SnapshotStore(args.snapshot_dir or default_dir)
         publisher = SnapshotPublisher(
             publisher_engine,
-            store,
-            shard_spec=(args.shards, args.partitioner),
+            SnapshotStore(args.snapshot_dir or default_dir),
+            shard_spec=shard_spec,
             registry=registry,
         )
         snapshot = publisher.publish()
-        print(
-            f"published sharded snapshot epoch {snapshot.epoch} "
-            f"({args.shards} shards, {args.partitioner}); starting one "
-            f"worker per shard (batch size {args.batch_size})"
-        )
-        pool = ShardPool(snapshot)
-        scheduler = ShardedScheduler(
-            pool, batch_size=args.batch_size, registry=registry, tracer=tracer
-        )
+        if args.sharded:
+            pool = ShardPool(snapshot)
+        else:
+            pool = ReplicaPool(snapshot, args.workers or 2, cache_size=args.cache_size)
+        with pool:
+            if args.sharded:
+                scheduler = ShardedScheduler(
+                    pool, batch_size=args.batch_size, registry=registry, tracer=tracer
+                )
+            else:
+                scheduler = MicroBatchScheduler(
+                    pool,
+                    router=args.router,
+                    batch_size=args.batch_size,
+                    registry=registry,
+                    tracer=tracer,
+                )
+            yield publisher, pool, scheduler
+
+
+def _serve_pool(args, lines: List[str]) -> int:
+    """``serve --workers N`` / ``serve --sharded``: the stream through a pool.
+
+    Updates flow through the single-writer publisher (one snapshot per
+    flushed batch, re-sharded under ``--sharded``, hot-swapped into
+    every worker at a barrier); queries and batches are micro-batched
+    and routed by the configured policy, or by home shard.  Answers stay
+    bit-identical to single-process serving.
+    """
+    import time
+
+    from .exceptions import GraphError
+
+    registry, tracer = _serve_telemetry(args)
+    sharded = args.sharded
+    unit = "shard workers" if sharded else "workers"
+    resharded = "re-sharded and " if sharded else ""
+
+    with _serving_tier(args, registry, tracer) as (publisher, pool, scheduler):
+        graph = publisher.engine.dynamic.graph
+        if sharded:
+            print(
+                f"published sharded snapshot epoch {pool.snapshot.epoch} "
+                f"({args.shards} shards, {args.partitioner}); started one "
+                f"worker per shard (batch size {args.batch_size})"
+            )
+        else:
+            print(
+                f"published snapshot epoch {pool.snapshot.epoch}; started "
+                f"{pool.n_workers} workers (router {args.router}, "
+                f"batch size {args.batch_size})"
+            )
         dump = _MetricsDump(
             args.metrics_json,
             args.metrics_interval,
             lambda: _merged_pool_metrics(registry, pool),
         )
+
+        def tags() -> str:
+            """The epoch, plus the shard plan's running fan-out and skip rate."""
+            plan = (
+                f", fan-out {scheduler.mean_fan_out:.2f}, "
+                f"skip rate {scheduler.skip_rate:.2f}"
+                if sharded
+                else ""
+            )
+            return f"[epoch {pool.snapshot.epoch}{plan}]"
 
         def flush(inserts, deletes, first_line) -> Optional[str]:
             try:
@@ -922,7 +852,7 @@ def _serve_sharded(args, lines: List[str]) -> int:
             print(
                 f"[epoch {snap.epoch}] published batch: "
                 f"+{report.n_inserted}/-{report.n_deleted} edges, "
-                f"re-sharded and hot-swapped {pool.n_workers} shard workers"
+                f"{resharded}hot-swapped {pool.n_workers} {unit}"
             )
             return None
 
@@ -930,10 +860,8 @@ def _serve_sharded(args, lines: List[str]) -> int:
             result = scheduler.run([node], k)[0]
             top_node, top_p = result.items[0]
             print(
-                f"query {node:>6d} top-{k}: "
-                f"{graph_labels.label_of(top_node)} "
-                f"{top_p:.8f}  [epoch {pool.snapshot.epoch}, "
-                f"fan-out {scheduler.mean_fan_out:.2f}]"
+                f"query {node:>6d} top-{k}: {graph.label_of(top_node)} "
+                f"{top_p:.8f}  {tags()}"
             )
 
         def on_batch(queries: List[int], k: int) -> None:
@@ -943,8 +871,7 @@ def _serve_sharded(args, lines: List[str]) -> int:
             print(
                 f"batch of {len(queries)} queries: "
                 f"{len(queries) / seconds:,.0f} q/s across "
-                f"{pool.n_workers} shards  [skip rate "
-                f"{scheduler.skip_rate:.2f}]"
+                f"{pool.n_workers} {unit}  {tags()}"
             )
 
         def on_rebuild() -> None:
@@ -952,36 +879,42 @@ def _serve_sharded(args, lines: List[str]) -> int:
             snap = publisher.publish()
             scheduler.publish(snap)
             print(
-                f"[epoch {snap.epoch}] forced rebuild re-sharded and hot-swapped"
+                f"[epoch {snap.epoch}] forced rebuild "
+                f"{resharded or 'published and '}hot-swapped"
             )
 
         t_start = time.perf_counter()
-        try:
-            code = _run_ops_stream(
-                lines,
-                args.k,
-                *_ticked_handlers(
-                    dump, [flush, on_query, on_batch, on_rebuild]
-                ),
-            )
-            if code != 0:
-                return code
-            total = time.perf_counter() - t_start
-            agg = scheduler.aggregate_stats(scheduler.collect_stats())
-            print(
-                f"served {agg['queries_served']} queries in {total:.2f}s "
-                f"across {pool.n_workers} shard workers: "
-                f"skip rate {agg['skip_rate']:.2f}, "
-                f"mean fan-out {agg['mean_fan_out']:.2f}, "
-                f"routed {scheduler.routed_counts}"
-            )
-            _print_engine_stats(agg, header="final shard-pool stats:")
-            if registry is not None:
-                _print_latency_envelope(scheduler.latency)
-            dump.final()
-            _finish_trace(tracer, args.trace_jsonl)
-        finally:
-            pool.close()
+        code = _run_ops_stream(
+            lines,
+            args.k,
+            *_ticked_handlers(dump, [flush, on_query, on_batch, on_rebuild]),
+        )
+        if code != 0:
+            return code
+        total = time.perf_counter() - t_start
+        agg = scheduler.aggregate_stats(scheduler.collect_stats())
+        summary = (
+            f"skip rate {agg['skip_rate']:.2f}, "
+            f"mean fan-out {agg['mean_fan_out']:.2f}"
+            if sharded
+            else f"hit rate {agg['hit_rate']:.2f}"
+        )
+        print(
+            f"served {agg['queries_served']} queries in {total:.2f}s "
+            f"across {pool.n_workers} {unit}: "
+            f"{agg['snapshot_swaps']} snapshot swaps, {summary}, "
+            f"routed {scheduler.routed_counts}"
+        )
+        _print_engine_stats(
+            agg, header=f"final {'shard-' if sharded else ''}pool stats:"
+        )
+        _print_engine_stats(
+            publisher.engine.stats.as_dict(), header="final publisher stats:"
+        )
+        if registry is not None:
+            _print_latency_envelope(scheduler.latency)
+        dump.final()
+        _finish_trace(tracer, args.trace_jsonl)
     return 0
 
 
@@ -995,60 +928,19 @@ def _serve_frontdoor(args) -> int:
     ones are answered ``draining``) or ``--serve-seconds`` elapses.
     """
     import signal
-    import tempfile
     import threading
     import time
 
-    from .core import DynamicKDash
-    from .query import QueryEngine
-    from .serving import (
-        FrontDoor,
-        MicroBatchScheduler,
-        ReplicaPool,
-        ShardPool,
-        ShardedScheduler,
-        SnapshotPublisher,
-        SnapshotStore,
-    )
+    from .serving import FrontDoor
 
-    index = load_index(args.index)
-    n_nodes = index.graph.n_nodes
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
     registry, tracer = _serve_telemetry(args)
-    shard_spec = (args.shards, args.partitioner) if args.sharded else None
-
-    with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
-        store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(
-            publisher_engine, store, shard_spec=shard_spec, registry=registry
-        )
-        snapshot = publisher.publish()
-        if args.sharded:
-            pool = ShardPool(snapshot)
-            scheduler = ShardedScheduler(
-                pool,
-                batch_size=args.batch_size,
-                registry=registry,
-                tracer=tracer,
-            )
-        else:
-            workers = args.workers or 2
-            pool = ReplicaPool(snapshot, workers, cache_size=args.cache_size)
-            scheduler = MicroBatchScheduler(
-                pool,
-                router=args.router,
-                batch_size=args.batch_size,
-                registry=registry,
-                tracer=tracer,
-            )
+    with _serving_tier(args, registry, tracer) as (_, pool, scheduler):
         door = FrontDoor(
             scheduler,
             host=args.host,
             port=args.port,
             max_inflight=args.max_inflight,
-            n_nodes=n_nodes,
+            n_nodes=pool.n_nodes,
             default_k=args.k,
             registry=registry,
         )
@@ -1061,7 +953,7 @@ def _serve_frontdoor(args) -> int:
             host, port = door.start()
             print(
                 f"front door listening on {host}:{port} "
-                f"(epoch {snapshot.epoch}, {pool.n_workers} "
+                f"(epoch {pool.snapshot.epoch}, {pool.n_workers} "
                 f"{'shard ' if args.sharded else ''}workers, "
                 f"max_inflight {args.max_inflight})",
                 flush=True,
@@ -1108,7 +1000,6 @@ def _serve_frontdoor(args) -> int:
             _finish_trace(tracer, args.trace_jsonl)
         finally:
             door.stop()
-            pool.close()
     return 0
 
 
@@ -1122,21 +1013,9 @@ def _cmd_loadgen(args) -> int:
     point of a load test.
     """
     import json
-    import tempfile
 
-    from .core import DynamicKDash
     from .obs import MetricsRegistry, Tracer
-    from .query import QueryEngine
-    from .serving import (
-        MicroBatchScheduler,
-        ReplicaPool,
-        ShardPool,
-        ShardedScheduler,
-        SnapshotPublisher,
-        SnapshotStore,
-        make_queries,
-        run_load,
-    )
+    from .serving import make_queries, run_load
 
     if args.connect:
         return _loadgen_connect(args)
@@ -1146,74 +1025,36 @@ def _cmd_loadgen(args) -> int:
             "--connect HOST:PORT (front-door mode)"
         )
         return 2
-    index = load_index(args.index)
-    n = index.graph.n_nodes
-    publisher_engine = QueryEngine(
-        DynamicKDash.from_index(index, rebuild_threshold=None)
-    )
-    queries = make_queries(n, args.queries, args.dist, seed=args.seed)
     registry = MetricsRegistry()
     tracer = Tracer(sample_every=args.trace_sample) if args.trace_jsonl else None
-    shard_spec = (args.shards, args.partitioner) if args.sharded else None
-
-    with tempfile.TemporaryDirectory(prefix="kdash-snapshots-") as default_dir:
-        store = SnapshotStore(args.snapshot_dir or default_dir)
-        publisher = SnapshotPublisher(
-            publisher_engine, store, shard_spec=shard_spec, registry=registry
-        )
-        snapshot = publisher.publish()
+    with _serving_tier(args, registry, tracer) as (publisher, pool, scheduler):
+        n = pool.n_nodes
         if args.sharded:
-            print(
-                f"index: n={n:,} nodes; workload: {args.queries} {args.dist} "
-                f"queries, k={args.k}, {args.shards} shard workers "
-                f"({args.partitioner}), batch size {args.batch_size}"
-            )
-            pool_ctx = ShardPool(snapshot)
+            layout = f"{pool.n_workers} shard workers ({args.partitioner})"
         else:
-            print(
-                f"index: n={n:,} nodes; workload: {args.queries} {args.dist} "
-                f"queries, k={args.k}, {args.workers} workers, "
-                f"router {args.router}, batch size {args.batch_size}"
-            )
-            pool_ctx = ReplicaPool(
-                snapshot, args.workers, cache_size=args.cache_size
-            )
-        with pool_ctx as pool:
-            if args.sharded:
-                scheduler = ShardedScheduler(
-                    pool,
-                    batch_size=args.batch_size,
-                    registry=registry,
-                    tracer=tracer,
-                )
-                router_name = "home"
-            else:
-                scheduler = MicroBatchScheduler(
-                    pool,
-                    router=args.router,
-                    batch_size=args.batch_size,
-                    registry=registry,
-                    tracer=tracer,
-                )
-                router_name = args.router
-            report = run_load(
-                scheduler,
-                queries,
-                k=args.k,
-                publisher=publisher if args.update_every else None,
-                update_every=args.update_every,
-                updates_per_batch=args.updates_per_batch,
-                seed=args.seed,
-                router_name=router_name,
-                precision=getattr(args, "precision", None),
-            )
-            if args.metrics_json:
-                from .obs import write_metrics_json
+            layout = f"{pool.n_workers} workers, router {args.router}"
+        print(
+            f"index: n={n:,} nodes; workload: {args.queries} {args.dist} "
+            f"queries, k={args.k}, {layout}, batch size {args.batch_size}"
+        )
+        report = run_load(
+            scheduler,
+            make_queries(n, args.queries, args.dist, seed=args.seed),
+            k=args.k,
+            publisher=publisher if args.update_every else None,
+            update_every=args.update_every,
+            updates_per_batch=args.updates_per_batch,
+            seed=args.seed,
+            router_name="home" if args.sharded else args.router,
+            precision=getattr(args, "precision", None),
+        )
+        if args.metrics_json:
+            from .obs import write_metrics_json
 
-                write_metrics_json(
-                    _merged_pool_metrics(registry, pool), args.metrics_json
-                )
-                print(f"wrote metrics JSON to {args.metrics_json}")
+            write_metrics_json(
+                _merged_pool_metrics(registry, pool), args.metrics_json
+            )
+            print(f"wrote metrics JSON to {args.metrics_json}")
     hit = (
         f"hit rate {report.pool_stats['hit_rate']:.2f}"
         if "hit_rate" in report.pool_stats

@@ -14,18 +14,22 @@ between them:
   ``DynamicKDash``/``RebuildPolicy``), compacted snapshots out;
 - :mod:`repro.serving.replica` — :class:`ReplicaPool`, N worker
   processes each serving a read-only engine over the current snapshot,
-  hot-swapping between micro-batches;
+  hot-swapping between micro-batches; its ``worker_main`` is the one
+  worker message loop of both pools, and its docstring holds the one
+  wire-protocol table;
 - :mod:`repro.serving.router` — :class:`RoundRobinRouter` (load
   spread) and :class:`ConsistentHashRouter` (root→replica affinity for
   LRU-cache locality);
 - :mod:`repro.serving.scheduler` — :class:`MicroBatchScheduler`,
   request routing + micro-batch formation + the barrier that makes a
-  snapshot swap invisible to in-flight queries;
-- :mod:`repro.serving.sharded` — :class:`ShardPool` (one worker per
-  shard of a format-v3 manifest, each holding ``1/n_shards`` of the
-  answer-side index) and :class:`ShardedScheduler` (home-first
-  scatter-gather with cross-shard bound skipping; results bit-identical
-  to a single engine);
+  snapshot swap invisible to in-flight queries, written once for both
+  pools and driven by a plan of rounds;
+- :mod:`repro.serving.sharded` — :class:`ShardPool` (the replica pool
+  with one worker per shard of a format-v3 manifest, each holding
+  ``1/n_shards`` of the answer-side index) and
+  :class:`ShardedScheduler` (the scheduler with a home-first
+  scatter-gather plan and cross-shard bound skipping; results
+  bit-identical to a single engine);
 - :mod:`repro.serving.frontdoor` — :class:`FrontDoor`, the asyncio TCP
   service over either scheduler: length-prefixed JSON frames, bounded
   in-flight admission with backpressure, per-request deadlines, and

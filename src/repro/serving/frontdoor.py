@@ -154,10 +154,11 @@ class FrontDoor:
         overflow the request is answered ``rejected`` and the connection
         stops reading until capacity frees (backpressure).
     n_nodes:
-        When given, query ids are range-checked at admission so a bad
-        request is answered ``error`` instead of reaching (and crashing)
-        a worker.  :class:`~repro.serving.sharded.ShardPool` exposes it;
-        for a replica pool the CLI passes it from the loaded index.
+        When given, query ids are range-checked at admission, before a
+        request takes an in-flight slot.  Without it an unknown node id
+        is still answered ``error``: both schedulers validate it at
+        submit against their pool's ``n_nodes``, which both pools read
+        from the snapshot.  The CLI passes ``pool.n_nodes``.
     default_k:
         ``k`` used by requests that omit it.
     registry:

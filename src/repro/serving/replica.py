@@ -1,61 +1,63 @@
-"""The replica pool: worker processes serving one snapshot each.
+"""Worker pools: processes that each serve one snapshot, one message loop.
 
-One Python process can run exactly one pruned scan at a time — the
-kernel is a Python-level loop, so threads share the GIL and a single
-``QueryEngine`` caps out far below a multi-core box.  The pool fixes
-that the way the paper's deployment model invites: the index is
-**read-only at serving time**, so replication is free of coherence
-traffic.  Each worker process
+One Python process can run exactly one pruned scan at a time, so a
+single ``QueryEngine`` caps out far below a multi-core box.  The pools
+fix that the way the paper's deployment model invites: the index is
+**read-only at serving time**, so worker processes need no coherence
+traffic.  Two pools share every queue and lifecycle mechanism here:
 
-1. loads the published snapshot (the v2 archive restores the
-   ``PreparedIndex`` caches directly — no re-preparation),
-2. wraps it in its own static :class:`~repro.query.engine.QueryEngine`
-   (private LRU result cache, private workspace),
-3. serves micro-batches from its request queue until told to stop,
-4. hot-swaps to a newer snapshot epoch when the scheduler broadcasts
-   one — the swap lands *between* batches, so no in-flight query is
-   dropped and every query is answered by exactly the snapshot that was
-   current when it was scheduled.
+- :class:`ReplicaPool` — N replicas, each a static
+  :class:`~repro.query.engine.QueryEngine` over the whole snapshot
+  (private LRU result cache, private workspace);
+- :class:`~repro.serving.sharded.ShardPool` — one worker per shard of a
+  format-v3 manifest, each scanning only its own shard.
 
-The pool is deliberately dumb about ordering: it moves messages.  All
-scheduling policy (micro-batch formation, routing, the swap barrier)
-lives in :class:`~repro.serving.scheduler.MicroBatchScheduler`.
+Every worker runs :func:`worker_main`: load the snapshot, report
+``ready``, then serve messages until told to stop.  A hot swap to a
+newer snapshot epoch lands *between* batches, so no in-flight query is
+dropped and every query is answered by the snapshot that was current
+when it was scheduled.  The pools are deliberately dumb about ordering:
+they move messages.  All scheduling policy (micro-batch formation,
+routing, the swap barrier) lives in
+:class:`~repro.serving.scheduler.MicroBatchScheduler`.
 
 Wire protocol (tuples, first element is the kind):
 
-===========  =============================================  ===========
-direction    message                                        reply
-===========  =============================================  ===========
-to worker    ``("batch", batch_id, [(query, k), ...])``     ``("results", wid, batch_id, [TopKResult, ...])``
-to worker    ``("batch", batch_id, [(query, k, prec), ...])``  same reply shape
-to worker    ``("swap", epoch, path)``                      ``("swapped", wid, epoch)``
-to worker    ``("stats",)``                                 ``("stats", wid, stats_dict)``
-to worker    ``("metrics",)``                               ``("metrics", wid, registry_snapshot)``
-to worker    ``("stop",)``                                  ``("stopped", wid, stats_dict)``
-===========  =============================================  ===========
+===========  ===================================================  ===========
+direction    message                                              reply
+===========  ===================================================  ===========
+to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``   ``("results", wid, batch_id, [TopKResult, ...])``
+to shard     ``("home", batch_id, [(query, k), ...])``            ``("partial", wid, batch_id, [(items, bounds, checked, computed), ...])``
+to shard     ``("remote", batch_id, [(query, k, floor), ...])``   ``("candidates", wid, batch_id, [(items, checked, computed), ...])``
+to worker    ``("swap", epoch, path)``                            ``("swapped", wid, epoch)``
+to worker    ``("stats",)``                                       ``("stats", wid, stats_dict)``
+to worker    ``("metrics",)``                                     ``("metrics", wid, registry_snapshot)``
+to worker    ``("stop",)``                                        ``("stopped", wid, stats_dict)``
+from worker  at boot                                              ``("ready", wid, epoch)``
+from worker  on a crash                                           ``("error", wid, traceback_text)``
+===========  ===================================================  ===========
 
-Tracing rides the same envelopes: a ``batch`` message may carry a
-fourth element — one trace context (or ``None``) per request — and the
-worker then answers ``("results", wid, batch_id, results, spans)``
-where ``spans`` are finished :func:`~repro.obs.tracing.remote_span`
-records (``worker.batch`` plus a ``kernel.scan`` leaf carrying the
-batch's scan counters and kernel-backend name).  Untraced batches use
-the original 3/4-element shapes, so tracing-off serving is wire-
-identical to PR 3.  ``metrics`` returns the worker engine's
-:meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; per-worker latency
+A batch request with a third element ``prec`` carries a precision spec
+string (``"exact"``, ``"bounded(1e-06)"``, ``"best_effort(0.001)"``, see
+:mod:`repro.query.approx`); a default-tier request is the plain
+``(query, k)`` pair, so precision-off serving keeps the pre-precision
+envelope.
+
+Tracing rides the same envelopes: a ``batch``/``home``/``remote``
+message may carry a fourth element — one trace context (or ``None``)
+per request — and the worker then appends finished
+:func:`~repro.obs.tracing.remote_span` records as a fifth reply
+element: ``worker.batch``, ``worker.home`` or ``worker.remote`` with a
+``kernel.scan`` leaf carrying the scan counters and kernel-backend name.
+Untraced batches use the 3/4-element shapes, so tracing-off serving is
+wire-identical to the untraced protocol.  ``metrics`` returns the
+worker's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; per-worker
 histograms share bucket bounds, so the pool folds them with
 :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
 
-Precision tiers ride the request tuples: a batch whose requests are
-3-tuples carries a per-request precision spec string (``"exact"``,
-``"bounded(1e-06)"``, ``"best_effort(0.001)"``, or ``None`` for the
-worker engine's default — see :mod:`repro.query.approx`).  A
-default-tier stream keeps the original 2-tuple envelope, so
-precision-off serving is wire-identical to PR 9.
-
-A worker that hits an unexpected exception reports
-``("error", wid, message)`` and exits; the pool surfaces it as a
-:class:`~repro.exceptions.ServingError` on the next receive.
+A worker that hits an unexpected exception reports its traceback and
+exits; the pool surfaces it as a :class:`~repro.exceptions.ServingError`
+on the next receive.
 """
 
 from __future__ import annotations
@@ -131,86 +133,110 @@ def _report_worker_crash(result_q, worker_id: int) -> None:
         )
 
 
-def _serve_batch(engine: QueryEngine, requests: Sequence[Tuple]):
-    """Serve one micro-batch of ``(query, k[, precision])`` requests,
-    input order kept.
-
-    Requests are grouped by ``(k, precision)`` so each group runs
-    through one :meth:`~repro.query.engine.QueryEngine.top_k_many` call
-    (shared workspace + within-batch dedup); answers are identical to
-    per-query ``top_k`` calls, so grouping is purely an execution
-    detail.  A 2-tuple request (the pre-precision envelope) means the
-    engine's default tier.
-
-    Returns ``(results, group_stats)`` — one
-    :class:`~repro.query.stats.QueryStats` per executed group, which is
-    what the trace leaf span sums its scan counters from.
-    """
-    groups: Dict[Tuple[int, Optional[str]], List[int]] = {}
-    for i, request in enumerate(requests):
-        spec = request[2] if len(request) > 2 else None
-        groups.setdefault((int(request[1]), spec), []).append(i)
-    results: List = [None] * len(requests)
-    group_stats: List = []
-    for (k, spec), idxs in groups.items():
-        answers = engine.top_k_many(
-            [requests[i][0] for i in idxs], k, precision=spec
-        )
-        for i, answer in zip(idxs, answers):
-            results[i] = answer
-        group_stats.append(engine.last_stats)
-    return results, group_stats
-
-
-def _batch_spans(
-    engine: QueryEngine,
-    n_requests: int,
-    ctxs,
-    group_stats,
-    seconds: float,
+def _span_pair(
     span_ids,
+    ctx,
+    name: str,
+    seconds: float,
+    tags: dict,
+    scan_seconds: float,
+    scan_tags: dict,
 ) -> List[dict]:
-    """The worker half of one traced batch's span tree.
-
-    One ``worker.batch`` span parented to the (first) propagated trace
-    context, with a ``kernel.scan`` leaf carrying the batch's summed
-    :class:`~repro.query.stats.QueryStats` counters and the resolved
-    kernel-backend name — the numbers the acceptance test matches
-    bit-for-bit against a single-process engine serving the same
-    stream.
-    """
-    ctx = next(c for c in ctxs if c is not None)
-    batch_id_local = next(span_ids)
-    scan_id_local = next(span_ids)
+    """One worker-side span and its ``kernel.scan`` leaf, both parented
+    under the propagated trace context ``ctx``."""
+    outer_id, scan_id = next(span_ids), next(span_ids)
     return [
+        remote_span(ctx, outer_id, name, seconds, tags=tags),
         remote_span(
             ctx,
-            batch_id_local,
-            "worker.batch",
-            seconds,
-            tags={"batch_size": n_requests},
-        ),
-        remote_span(
-            ctx,
-            scan_id_local,
+            scan_id,
             "kernel.scan",
-            sum(s.seconds for s in group_stats),
-            tags={
-                "backend": engine.index._prepared.backend,
-                "n_queries": sum(s.n_queries for s in group_stats),
-                "cache_hits": sum(s.cache_hits for s in group_stats),
-                "dedup_hits": sum(s.dedup_hits for s in group_stats),
-                "executed": sum(s.executed for s in group_stats),
-                "n_visited": sum(s.n_visited for s in group_stats),
-                "n_computed": sum(s.n_computed for s in group_stats),
-                "n_pruned": sum(s.n_pruned for s in group_stats),
-            },
-            parent_id=batch_id_local,
+            scan_seconds,
+            tags=scan_tags,
+            parent_id=outer_id,
         ),
     ]
 
 
+class ReplicaServer:
+    """What a replica worker serves: one engine over the whole snapshot.
+
+    A worker's server answers the request kinds in :attr:`REPLIES`
+    through :meth:`serve`, adopts a newer snapshot in :meth:`swap`, and
+    reports :meth:`stats` and a metrics :attr:`registry`;
+    :func:`worker_main` does everything else.
+    """
+
+    #: Request kind -> reply kind.
+    REPLIES = {"batch": "results"}
+
+    def __init__(self, worker_id: int, path: str, epoch: int, cache_size: int) -> None:
+        self.engine = QueryEngine(
+            load_index(path), cache_size=cache_size, registry=MetricsRegistry()
+        )
+        self.engine.snapshot_epoch = epoch
+        self.engine.stats.snapshot_epoch = epoch
+        self.registry = self.engine.metrics
+        self._span_ids = itertools.count(1)  # process-lifetime span ordinals
+
+    def serve(self, kind: str, requests: Sequence[Tuple], ctxs) -> Tuple[list, list]:
+        """Answer one micro-batch of ``(query, k[, precision])`` requests.
+
+        Requests are grouped by ``(k, precision)`` so each group runs
+        through one :meth:`~repro.query.engine.QueryEngine.top_k_many`
+        call (shared workspace + within-batch dedup); answers are
+        identical to per-query ``top_k`` calls, so grouping is purely an
+        execution detail.  A traced batch gets one ``worker.batch`` span,
+        parented to its first traced request, whose ``kernel.scan`` leaf
+        sums the groups' :class:`~repro.query.stats.QueryStats` counters
+        — the numbers the telemetry tests match bit-for-bit against a
+        single-process engine.
+        """
+        t0 = perf_counter()
+        engine = self.engine
+        groups: Dict[Tuple[int, Optional[str]], List[int]] = {}
+        for i, request in enumerate(requests):
+            spec = request[2] if len(request) > 2 else None
+            groups.setdefault((int(request[1]), spec), []).append(i)
+        results: List = [None] * len(requests)
+        group_stats: List = []
+        for (k, spec), idxs in groups.items():
+            answers = engine.top_k_many(
+                [requests[i][0] for i in idxs], k, precision=spec
+            )
+            for i, answer in zip(idxs, answers):
+                results[i] = answer
+            group_stats.append(engine.last_stats)
+        seconds = perf_counter() - t0
+        ctx = next((c for c in ctxs or () if c is not None), None)
+        if ctx is None:
+            return results, []
+        counters = {
+            name: sum(getattr(s, name) for s in group_stats)
+            for name in (
+                "n_queries", "cache_hits", "dedup_hits", "executed",
+                "n_visited", "n_computed", "n_pruned",
+            )
+        }
+        return results, _span_pair(
+            self._span_ids,
+            ctx,
+            "worker.batch",
+            seconds,
+            {"batch_size": len(requests)},
+            sum(s.seconds for s in group_stats),
+            {"backend": engine.index._prepared.backend, **counters},
+        )
+
+    def swap(self, path: str, epoch: int) -> None:
+        self.engine.swap_index(load_index(path), source_epoch=epoch)
+
+    def stats(self) -> dict:
+        return self.engine.stats.as_dict()
+
+
 def worker_main(
+    server_cls,
     worker_id: int,
     snapshot_path: str,
     snapshot_epoch: int,
@@ -218,52 +244,39 @@ def worker_main(
     result_q,
     cache_size: int,
 ) -> None:
-    """Entry point of one replica process (module-level for spawn support)."""
+    """Entry point of every pool worker process (module-level for spawn).
+
+    ``server_cls`` (:class:`ReplicaServer` or
+    :class:`~repro.serving.sharded.ShardServer`) says what the worker
+    serves; this loop owns the rest of the protocol: the ``ready``
+    report, forward-only swaps, stats, metrics, stop, and crash reports.
+    """
     try:
-        engine = QueryEngine(
-            load_index(snapshot_path),
-            cache_size=cache_size,
-            registry=MetricsRegistry(),
-        )
-        engine.snapshot_epoch = int(snapshot_epoch)
-        engine.stats.snapshot_epoch = engine.snapshot_epoch
-        span_ids = itertools.count(1)  # process-lifetime span ordinals
-        result_q.put(("ready", worker_id, int(snapshot_epoch)))
+        epoch = int(snapshot_epoch)
+        server = server_cls(worker_id, snapshot_path, epoch, cache_size)
+        result_q.put(("ready", worker_id, epoch))
         while True:
             message = request_q.get()
             kind = message[0]
-            if kind == "batch":
-                batch_id, requests = message[1], message[2]
+            if kind in server.REPLIES:
                 ctxs = message[3] if len(message) > 3 else None
-                t0 = perf_counter()
-                results, group_stats = _serve_batch(engine, requests)
-                if ctxs is not None and any(c is not None for c in ctxs):
-                    spans = _batch_spans(
-                        engine,
-                        len(requests),
-                        ctxs,
-                        group_stats,
-                        perf_counter() - t0,
-                        span_ids,
-                    )
-                    result_q.put(
-                        ("results", worker_id, batch_id, results, spans)
-                    )
-                else:
-                    result_q.put(("results", worker_id, batch_id, results))
+                replies, spans = server.serve(kind, message[2], ctxs)
+                reply = (server.REPLIES[kind], worker_id, message[1], replies)
+                result_q.put(reply + (spans,) if spans else reply)
             elif kind == "swap":
-                _, epoch, path = message
+                _, new_epoch, path = message
                 # Only move forward: a stale broadcast (scheduler retry,
-                # replayed queue) must not roll the replica back.
-                if engine.snapshot_epoch is None or epoch > engine.snapshot_epoch:
-                    engine.swap_index(load_index(path), source_epoch=epoch)
-                result_q.put(("swapped", worker_id, int(epoch)))
+                # replayed queue) must not roll the worker back.
+                if new_epoch > epoch:
+                    server.swap(path, new_epoch)
+                    epoch = new_epoch
+                result_q.put(("swapped", worker_id, int(new_epoch)))
             elif kind == "stats":
-                result_q.put(("stats", worker_id, engine.stats.as_dict()))
+                result_q.put(("stats", worker_id, server.stats()))
             elif kind == "metrics":
-                result_q.put(("metrics", worker_id, engine.metrics.snapshot()))
+                result_q.put(("metrics", worker_id, server.registry.snapshot()))
             elif kind == "stop":
-                result_q.put(("stopped", worker_id, engine.stats.as_dict()))
+                result_q.put(("stopped", worker_id, server.stats()))
                 break
             else:
                 result_q.put(
@@ -293,21 +306,19 @@ class ReplicaPool:
         Per-worker LRU result-cache capacity (each replica caches
         independently — affinity routing is what makes those private
         caches effective).
-    start_method:
-        ``multiprocessing`` start method (``None`` = platform default;
-        ``"fork"`` on Linux makes startup near-free).
     timeout:
         Seconds to wait on any worker reply before raising
         :class:`~repro.exceptions.ServingError`.
 
     The pool is a context manager; exiting it stops the workers and
-    joins them.
+    joins them.  If any worker fails to start, the constructor stops
+    and joins the ones that did before it raises.
     """
 
-    #: Worker entry point and process-name stem; the sharded pool
-    #: (:class:`repro.serving.sharded.ShardPool`) overrides both and
-    #: inherits every queue/lifecycle mechanism below unchanged.
-    _WORKER_TARGET = staticmethod(worker_main)
+    #: What each worker serves, and the stem of its process name; the
+    #: shard pool (:class:`repro.serving.sharded.ShardPool`) overrides
+    #: both and inherits every queue/lifecycle mechanism below.
+    _SERVER = ReplicaServer
     _WORKER_NAME = "kdash-replica"
 
     def __init__(
@@ -315,7 +326,6 @@ class ReplicaPool:
         snapshot,
         n_workers: int,
         cache_size: int = 1024,
-        start_method: Optional[str] = None,
         timeout: float = DEFAULT_TIMEOUT,
     ) -> None:
         if n_workers < 1:
@@ -327,30 +337,39 @@ class ReplicaPool:
         self._load_snapshot_meta(snapshot.path)
         self.snapshot = snapshot
         self.timeout = float(timeout)
-        self._cache_size = cache_size
-        self._ctx = multiprocessing.get_context(start_method)
-        self._result_q = self._ctx.Queue()
-        self._request_qs = [self._ctx.Queue() for _ in range(n_workers)]
+        ctx = multiprocessing.get_context()
+        self._result_q = ctx.Queue()
+        self._request_qs = [ctx.Queue() for _ in range(n_workers)]
         self._workers = []
         self._closed = False
         for worker_id in range(n_workers):
-            process = self._ctx.Process(
-                target=type(self)._WORKER_TARGET,
-                args=self._worker_args(worker_id),
+            process = ctx.Process(
+                target=worker_main,
+                args=(
+                    self._SERVER,
+                    worker_id,
+                    snapshot.path,
+                    snapshot.epoch,
+                    self._request_qs[worker_id],
+                    self._result_q,
+                    cache_size,
+                ),
                 name=f"{self._WORKER_NAME}-{worker_id}",
                 daemon=True,
             )
             process.start()
             self._workers.append(process)
-        ready = 0
-        while ready < n_workers:
-            message = self.recv()
-            if message[0] != "ready":
-                raise ServingError(
-                    f"worker startup protocol violation: expected 'ready', "
-                    f"got {message!r}"
-                )
-            ready += 1
+        try:
+            for _ in range(n_workers):
+                message = self.recv()
+                if message[0] != "ready":
+                    raise ServingError(
+                        f"worker startup protocol violation: expected 'ready', "
+                        f"got {message!r}"
+                    )
+        except BaseException:
+            self.close()  # no caller holds the pool yet to close it
+            raise
 
     def _load_snapshot_meta(self, path: str) -> None:
         """Read what the gather side validates requests against: the
@@ -358,17 +377,6 @@ class ReplicaPool:
         its routing metadata)."""
         with read_snapshot_header(path) as archive:
             self.n_nodes = int(archive["n_nodes"])
-
-    def _worker_args(self, worker_id: int) -> tuple:
-        """The spawn arguments of one worker process (subclass hook)."""
-        return (
-            worker_id,
-            self.snapshot.path,
-            self.snapshot.epoch,
-            self._request_qs[worker_id],
-            self._result_q,
-            self._cache_size,
-        )
 
     # ------------------------------------------------------------------
     @property
@@ -381,18 +389,22 @@ class ReplicaPool:
             raise ServingError("pool is closed")
         self._request_qs[worker_id].put(message)
 
+    def _send_batch(
+        self, kind: str, worker_id: int, batch_id: int, requests, ctxs
+    ) -> None:
+        """Enqueue one micro-batch; ``ctxs`` (one trace context or
+        ``None`` per request) extends the envelope only when at least
+        one request is traced, so an untraced stream stays
+        wire-identical to the untraced protocol."""
+        if ctxs is None:
+            self.send(worker_id, (kind, batch_id, list(requests)))
+        else:
+            self.send(worker_id, (kind, batch_id, list(requests), list(ctxs)))
+
     def submit(self, worker_id: int, batch_id: int, requests, ctxs=None) -> None:
         """Dispatch one micro-batch of ``(query, k[, precision])``
-        requests to a worker.
-
-        ``ctxs`` (one trace context or ``None`` per request) extends the
-        envelope only when at least one request is traced — an untraced
-        stream stays wire-identical to the pre-telemetry protocol.
-        """
-        if ctxs is None:
-            self.send(worker_id, ("batch", batch_id, list(requests)))
-        else:
-            self.send(worker_id, ("batch", batch_id, list(requests), list(ctxs)))
+        requests to a worker."""
+        self._send_batch("batch", worker_id, batch_id, requests, ctxs)
 
     def broadcast_swap(self, snapshot: Snapshot) -> None:
         """Tell every worker to adopt ``snapshot`` (no barrier — the
@@ -420,22 +432,25 @@ class ReplicaPool:
             raise ServingError(f"worker {message[1]} failed:\n{message[2]}")
         return message
 
-    def collect_stats(self) -> List[dict]:
-        """Per-worker ``EngineStats`` dicts (safe only with no batches
-        outstanding — the scheduler guarantees that by draining first)."""
+    def _collect(self, kind: str) -> list:
+        """Send ``(kind,)`` to every worker; their payloads by worker id
+        (safe only with no batches outstanding — the scheduler
+        guarantees that by draining first)."""
         for worker_id in range(self.n_workers):
-            self.send(worker_id, ("stats",))
-        stats: List[Optional[dict]] = [None] * self.n_workers
-        needed = self.n_workers
-        while needed:
+            self.send(worker_id, (kind,))
+        payloads: list = [None] * self.n_workers
+        for _ in range(self.n_workers):
             message = self.recv()
-            if message[0] != "stats":
+            if message[0] != kind:
                 raise ServingError(
-                    f"unexpected reply while collecting stats: {message!r}"
+                    f"unexpected reply while collecting {kind}: {message!r}"
                 )
-            stats[message[1]] = message[2]
-            needed -= 1
-        return stats  # type: ignore[return-value]
+            payloads[message[1]] = message[2]
+        return payloads
+
+    def collect_stats(self) -> List[dict]:
+        """Per-worker stats dicts (no batches may be outstanding)."""
+        return self._collect("stats")
 
     def collect_metrics(self) -> MetricsRegistry:
         """One registry folding every worker's metrics snapshot.
@@ -445,18 +460,9 @@ class ReplicaPool:
         out of the merged histograms directly.  Same no-outstanding-
         batches caveat as :meth:`collect_stats`.
         """
-        for worker_id in range(self.n_workers):
-            self.send(worker_id, ("metrics",))
         merged = MetricsRegistry()
-        needed = self.n_workers
-        while needed:
-            message = self.recv()
-            if message[0] != "metrics":
-                raise ServingError(
-                    f"unexpected reply while collecting metrics: {message!r}"
-                )
-            merged.merge(MetricsRegistry.from_snapshot(message[2]))
-            needed -= 1
+        for payload in self._collect("metrics"):
+            merged.merge(MetricsRegistry.from_snapshot(payload))
         return merged
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Micro-batched request scheduling over a replica pool.
+"""Micro-batched request scheduling over a worker pool.
 
 The scan behind one top-k query costs ~100µs on a warm index, which is
 the same order as one queue round-trip — dispatching queries one at a
@@ -7,16 +7,30 @@ time would spend the cluster on IPC.  The scheduler therefore forms
 (round-robin or consistent-hash, see :mod:`repro.serving.router`) and
 buffered per worker; a buffer is flushed as one
 :meth:`~repro.query.engine.QueryEngine.top_k_many` batch when it
-reaches ``batch_size`` (or on :meth:`flush`).  Batching also feeds the
-engine's within-batch dedup — skewed traffic repeats roots, and a batch
-of 64 zipf-distributed queries typically executes far fewer scans.
+reaches ``batch_size`` (or on :meth:`~MicroBatchScheduler.flush`).
+Batching also feeds the engine's within-batch dedup — skewed traffic
+repeats roots, and a batch of 64 zipf-distributed queries typically
+executes far fewer scans.
+
+One scheduler serves both pools.  A **plan** is a table of rounds, each
+with the pool method that dispatches it and the reply kind that answers
+it: the replica plan is the single round ``batch``; the shard plan
+(:class:`~repro.serving.sharded.ShardedScheduler`) is a ``home`` round
+followed by θ-carrying ``remote`` rounds.  Everything around the plan
+is written once here — submit-time validation, per-round buffers and
+dispatch, reply absorption, drain, ordered results, the swap barrier,
+stats collection, the ``scheduler.query``/``scheduler.route`` spans and
+the dispatch metrics.  A plan supplies only its router, its first-round
+request, what one reply does, and its stats fold.
 
 Ordering contract: results are keyed by a monotone sequence number
-assigned at :meth:`submit`, and :meth:`run` returns them in submission
-order — the pool's answers for a query stream are positionally
-identical to a single-process engine serving the same stream.
+assigned at :meth:`~MicroBatchScheduler.submit`, and
+:meth:`~MicroBatchScheduler.run` returns them in submission order — the
+pool's answers for a query stream are positionally identical to a
+single-process engine serving the same stream.
 
-Snapshot hot-swap (:meth:`publish`) is a **barrier**:
+Snapshot hot-swap (:meth:`~MicroBatchScheduler.publish`) is a
+**barrier**:
 
 1. flush and drain every outstanding batch — in-flight queries complete
    on the epoch that was current when they were scheduled (nothing is
@@ -57,7 +71,7 @@ class MicroBatchScheduler:
         ``"rr"``, ``"hash"``, or a :class:`~repro.serving.router.Router`
         instance.
     batch_size:
-        Flush threshold per worker buffer.  1 degenerates to
+        Flush threshold of every per-worker buffer.  1 degenerates to
         request-per-message (useful as the IPC-overhead baseline in the
         scale-out benchmark).
     registry:
@@ -67,14 +81,18 @@ class MicroBatchScheduler:
         counters.  ``None`` = telemetry off.
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer`: sampled requests
-        get a ``scheduler.query`` root span with a ``scheduler.route``
-        child; the trace context rides the batch envelope to the worker,
-        whose ``worker.batch``/``kernel.scan`` spans are absorbed from
-        the reply.  ``None`` = tracing off (wire-identical envelopes).
+        get a ``scheduler.query`` root span with one ``scheduler.route``
+        child per dispatched round; the trace context rides the batch
+        envelope to the worker, whose ``worker.*``/``kernel.scan`` spans
+        are absorbed from the reply.  ``None`` = tracing off
+        (wire-identical envelopes).
     """
 
     #: Label of this scheduler's request-latency histogram series.
     _TIER = "replica"
+    #: The plan's rounds, first round first: round -> (the pool method
+    #: that dispatches one micro-batch of it, the reply kind answering it).
+    _ROUNDS: Dict[str, Tuple[str, str]] = {"batch": ("submit", "results")}
 
     def __init__(
         self,
@@ -89,11 +107,13 @@ class MicroBatchScheduler:
         self.batch_size = check_positive_int(batch_size, "batch_size")
         self.metrics = NULL_REGISTRY if registry is None else registry
         self.tracer = NULL_TRACER if tracer is None else tracer
-        # Buffered requests: (seq, query, k, precision spec or None).
-        self._buffers: List[List[Tuple[int, int, int, Optional[str]]]] = [
-            [] for _ in range(pool.n_workers)
-        ]
-        self._pending: Dict[int, List[int]] = {}  # batch_id -> seqs
+        # round -> per-worker buffer of (seq, request tuple).
+        self._buffers: Dict[str, List[List[Tuple[int, tuple]]]] = {
+            round_: [[] for _ in range(pool.n_workers)] for round_ in self._ROUNDS
+        }
+        # batch_id -> (round, the dispatched buffer).
+        self._pending: Dict[int, Tuple[str, List[Tuple[int, tuple]]]] = {}
+        self._reply_kinds = {reply for _, reply in self._ROUNDS.values()}
         self._results: Dict[int, TopKResult] = {}
         self._next_seq = 0
         self._next_batch = 0
@@ -109,22 +129,45 @@ class MicroBatchScheduler:
         )
 
     # ------------------------------------------------------------------
+    # The plan (the shard tier overrides these and the router)
+    # ------------------------------------------------------------------
+    def _first_request(self, query: int, k: int, precision) -> tuple:
+        """The first-round request tuple of one validated submission.
+
+        ``precision`` rides as its canonical spec string, so
+        mixed-precision traffic batches freely; a default-tier request
+        stays the 2-tuple ``(query, k)`` of the pre-precision protocol.
+        """
+        if precision is None:
+            return (query, k)
+        return (query, k, PrecisionPolicy.parse(precision).spec)
+
+    def _on_reply(
+        self, round_: str, worker_id: int, seq: int, request: tuple, reply
+    ) -> None:
+        """Act on one request's reply: a replica answers in one round."""
+        self._finish(seq, reply, {"worker": worker_id})
+
+    def _phase(self, round_: str) -> Dict[str, str]:
+        """Telemetry labels of one round: a multi-round plan names it."""
+        return {"phase": round_} if len(self._ROUNDS) > 1 else {}
+
+    # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
     def submit(self, query: int, k: int = 5, precision=None) -> int:
         """Route one request; returns its sequence number.
 
         Dispatches the target worker's buffer when it reaches
-        ``batch_size``.  ``precision`` (a spec string or
-        :class:`~repro.query.approx.PrecisionPolicy`, ``None`` = the
-        worker engine's default tier) rides the batch envelope as its
-        canonical spec string, so mixed-precision traffic batches
-        freely.  An unknown node id or a non-positive ``k`` raises
-        here, before any state changes, instead of reaching a worker.
+        ``batch_size``.  ``precision`` is a spec string or
+        :class:`~repro.query.approx.PrecisionPolicy` (``None`` = the
+        serving default tier).  An unknown node id or a non-positive
+        ``k`` raises here, before any state changes, instead of
+        reaching a worker.
         """
         query = check_node_id(int(query), self.pool.n_nodes, "query")
         k = check_k(int(k))
-        spec = None if precision is None else PrecisionPolicy.parse(precision).spec
+        request = self._first_request(query, k, precision)
         seq = self._next_seq
         self._next_seq += 1
         worker_id = self.router.route(query, self.pool.n_workers)
@@ -132,58 +175,71 @@ class MicroBatchScheduler:
         if self.metrics.enabled:
             self._submit_times[seq] = perf_counter()
         if self.tracer.enabled and self.tracer.sample():
-            root = self.tracer.start(
+            self._spans[seq] = self.tracer.start(
                 "scheduler.query", tags={"seq": seq, "query": query, "k": k}
             )
-            route = self.tracer.start(
-                "scheduler.route", parent=root, tags={"worker": worker_id}
-            )
-            self.tracer.finish(route)
-            self._spans[seq] = root
-        buffer = self._buffers[worker_id]
-        buffer.append((seq, query, k, spec))
-        if len(buffer) >= self.batch_size:
-            self._dispatch(worker_id)
+        self._enqueue(next(iter(self._ROUNDS)), worker_id, seq, request)
         return seq
 
-    def _dispatch(self, worker_id: int) -> None:
-        buffer = self._buffers[worker_id]
-        if not buffer:
+    def _enqueue(self, round_: str, worker_id: int, seq: int, request: tuple) -> None:
+        """Buffer one request; dispatch the buffer once it is full."""
+        buffer = self._buffers[round_][worker_id]
+        buffer.append((seq, request))
+        if len(buffer) >= self.batch_size:
+            self._dispatch(round_, worker_id)
+
+    def _dispatch(self, round_: str, worker_id: int) -> None:
+        batch = self._buffers[round_][worker_id]
+        if not batch:
             return
+        self._buffers[round_][worker_id] = []
         batch_id = self._next_batch
         self._next_batch += 1
-        self._pending[batch_id] = [seq for seq, _, _, _ in buffer]
-        ctxs = None
-        if self._spans:
-            traced = [
-                self._spans[seq].context() if seq in self._spans else None
-                for seq, _, _, _ in buffer
-            ]
-            if any(c is not None for c in traced):
-                ctxs = traced
+        self._pending[batch_id] = (round_, batch)
+        ctxs = self._trace_contexts(round_, worker_id, batch) if self._spans else None
         if self.metrics.enabled:
+            labels = self._phase(round_)
             self.metrics.counter(
-                "repro_scheduler_batches_total", help="micro-batches dispatched"
+                "repro_scheduler_batches_total",
+                help="micro-batches dispatched",
+                labels=labels,
             ).inc()
             self.metrics.histogram(
                 "repro_scheduler_batch_fill",
                 help="requests per dispatched micro-batch",
+                labels=labels,
                 bounds=(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024),
-            ).observe(len(buffer))
-        # Default-tier batches stay 2-tuples — byte-identical envelopes
-        # to the pre-precision protocol; any non-default request widens
-        # the whole batch to 3-tuples.
-        if any(spec is not None for _, _, _, spec in buffer):
-            requests = [(q, k, spec) for _, q, k, spec in buffer]
-        else:
-            requests = [(q, k) for _, q, k, _ in buffer]
-        self.pool.submit(worker_id, batch_id, requests, ctxs=ctxs)
-        self._buffers[worker_id] = []
+            ).observe(len(batch))
+        send = getattr(self.pool, self._ROUNDS[round_][0])
+        send(worker_id, batch_id, [request for _, request in batch], ctxs=ctxs)
+
+    def _trace_contexts(self, round_: str, worker_id: int, batch):
+        """One trace context (or ``None``) per request of a dispatch.
+
+        Each traced request gets a finished ``scheduler.route`` child
+        naming the worker; an untraced batch returns ``None`` so its
+        envelope stays wire-identical to the untraced protocol.
+        """
+        ctxs = []
+        for seq, _ in batch:
+            root = self._spans.get(seq)
+            if root is None:
+                ctxs.append(None)
+                continue
+            route = self.tracer.start(
+                "scheduler.route",
+                parent=root,
+                tags={**self._phase(round_), "worker": worker_id},
+            )
+            self.tracer.finish(route)
+            ctxs.append(root.context())
+        return ctxs if any(c is not None for c in ctxs) else None
 
     def flush(self) -> None:
         """Dispatch every non-empty buffer, regardless of fill level."""
         for worker_id in range(self.pool.n_workers):
-            self._dispatch(worker_id)
+            for round_ in self._ROUNDS:
+                self._dispatch(round_, worker_id)
 
     # ------------------------------------------------------------------
     # Completion
@@ -195,34 +251,42 @@ class MicroBatchScheduler:
 
     def _absorb(self, message: tuple) -> None:
         kind = message[0]
-        if kind != "results":
+        if kind not in self._reply_kinds:
             raise ServingError(
                 f"unexpected reply while awaiting batch results: {message!r}"
             )
-        worker_id, batch_id, results = message[1], message[2], message[3]
-        seqs = self._pending.pop(batch_id)
-        if len(seqs) != len(results):
+        worker_id, batch_id, replies = message[1], message[2], message[3]
+        round_, batch = self._pending.pop(batch_id)
+        if kind != self._ROUNDS[round_][1]:
+            raise ServingError(f"{round_} batch {batch_id} answered with {kind!r}")
+        if len(batch) != len(replies):
             raise ServingError(
-                f"batch {batch_id}: {len(seqs)} requests but "
-                f"{len(results)} results"
+                f"batch {batch_id}: {len(batch)} requests but "
+                f"{len(replies)} results"
             )
         if len(message) > 4:
             self.tracer.absorb(message[4], namespace=worker_id)
-        now = perf_counter() if self._submit_times else 0.0
-        for seq, result in zip(seqs, results):
-            self._results[seq] = result
-            t_submit = self._submit_times.pop(seq, None)
-            if t_submit is not None:
-                self.latency.observe(now - t_submit)
-            span = self._spans.pop(seq, None)
-            if span is not None:
-                self.tracer.finish(span, tags={"worker": worker_id})
+        for (seq, request), reply in zip(batch, replies):
+            self._on_reply(round_, worker_id, seq, request, reply)
+
+    def _finish(self, seq: int, result: TopKResult, tags: dict) -> None:
+        """Record one request's final answer and close its telemetry."""
+        self._results[seq] = result
+        t_submit = self._submit_times.pop(seq, None)
+        if t_submit is not None:
+            self.latency.observe(perf_counter() - t_submit)
+        span = self._spans.pop(seq, None)
+        if span is not None:
+            self.tracer.finish(span, tags=tags)
 
     def drain(self) -> None:
-        """Flush, then block until every dispatched batch has reported."""
+        """Flush, then block until every submitted request has its result."""
         self.flush()
         while self._pending:
             self._absorb(self.pool.recv())
+            if not self._pending:
+                # Later rounds parked below the batch threshold.
+                self.flush()
 
     def take_results(self, seqs: Sequence[int]) -> List[TopKResult]:
         """Pop completed results for ``seqs`` (drain first)."""
@@ -251,7 +315,7 @@ class MicroBatchScheduler:
     # Snapshot hot-swap
     # ------------------------------------------------------------------
     def publish(self, snapshot: Snapshot) -> None:
-        """Barrier-swap every replica to ``snapshot`` (see module docs).
+        """Barrier-swap every worker to ``snapshot`` (see module docs).
 
         In-flight batches complete on their scheduled epoch before the
         swap broadcast; queries submitted after :meth:`publish` returns
@@ -265,14 +329,12 @@ class MicroBatchScheduler:
             )
         self.drain()
         self.pool.broadcast_swap(snapshot)
-        acks = 0
-        while acks < self.pool.n_workers:
+        for _ in range(self.pool.n_workers):
             message = self.pool.recv()
             if message[0] != "swapped":
                 raise ServingError(
                     f"unexpected reply while awaiting swap acks: {message!r}"
                 )
-            acks += 1
 
     # ------------------------------------------------------------------
     # Observability
@@ -297,16 +359,7 @@ class MicroBatchScheduler:
             "escalated_queries": 0,
         }
         for stats in per_worker:
-            for key in (
-                "queries_served",
-                "cache_hits",
-                "dedup_hits",
-                "scans_executed",
-                "invalidations",
-                "snapshot_swaps",
-                "fast_path_queries",
-                "escalated_queries",
-            ):
+            for key in list(total)[1:]:  # every counter after "workers"
                 total[key] += stats.get(key, 0)
         served = total["queries_served"]
         hits = total["cache_hits"] + total["dedup_hits"]
@@ -315,8 +368,11 @@ class MicroBatchScheduler:
         total["escalation_rate"] = (
             (total["escalated_queries"] / attempts) if attempts else 0.0
         )
-        epochs = [s.get("snapshot_epoch") for s in per_worker]
-        total["snapshot_epoch"] = max(
-            (e for e in epochs if e is not None), default=None
-        )
+        total["snapshot_epoch"] = _max_epoch(per_worker)
         return total
+
+
+def _max_epoch(per_worker: Sequence[dict]) -> Optional[int]:
+    """The newest snapshot epoch any worker reports (``None`` if none)."""
+    epochs = [s.get("snapshot_epoch") for s in per_worker]
+    return max((e for e in epochs if e is not None), default=None)
