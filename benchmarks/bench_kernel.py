@@ -13,7 +13,7 @@ Workloads
 ---------
 Queries are the two highest out-degree hubs (deterministic on the fixed
 graph seed) — hub scans visit most of the graph, so they measure the
-kernel loop rather than per-call setup.  Five workloads per query:
+kernel loop rather than per-call setup.  Six workloads per query:
 
 - ``topk10`` / ``topk100`` — heap-mode scans (the serving path).  A
   sizeable share of their time is canonical-heap admissions, which are
@@ -23,6 +23,9 @@ kernel loop rather than per-call setup.  Five workloads per query:
   cut-off against a fixed θ).  These are scan-bound end to end and are
   the headline kernel-speed metric (``scan_speedup``).
 - ``ppr`` — a 3-seed Personalized PageRank top-k (multi-source layer 0).
+- ``shard_home`` — the sharded tier's hot loop: the top-10 block scan
+  (``scan_shard``) of the query's home shard, on a 2-shard Louvain
+  split of the same graph.
 
 Regression gate
 ---------------
@@ -51,7 +54,8 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core import KDash
+from repro.core import KDash, ShardedIndex
+from repro.core.sharded import canonical_heap, heap_items, scan_shard
 from repro.graph import scale_free_digraph
 from repro.query.backends import available_backends, get_backend
 
@@ -69,6 +73,10 @@ GATE_TOLERANCE = 0.20  # fail when speedup drops >20% below committed
 
 #: The scan-bound workloads that define the headline ``scan_speedup``.
 SCAN_WORKLOADS = ("thresh1e-6", "thresh1e-8")
+
+#: The ``shard_home`` workload's split and heap size.
+N_SHARDS = 2
+SHARD_K = 10
 
 
 def build_prepared():
@@ -145,6 +153,41 @@ def time_backends(prepared, y, query, spec, backends) -> Dict[str, float]:
     return best
 
 
+def time_shard_home(sharded, query, backends) -> Dict[str, float]:
+    """Best-of-TRIALS mean-of-REPS home-shard scan latency per backend,
+    microseconds, after asserting items and counters equal the oracle's."""
+    y = sharded.workspace()
+    rows, vals = sharded.scatter_column(y, query)
+    ymax = float(vals.max()) if vals.size else 0.0
+    home = sharded.shard(sharded.home_shard(query))
+
+    def scan(backend):
+        heap = canonical_heap(sharded.n, SHARD_K)
+        counters = scan_shard(home, sharded.c, y, ymax, heap, backend=backend)
+        return heap_items(heap), counters
+
+    oracle = scan("python")
+    for name in backends:
+        if scan(name) != oracle:
+            raise SystemExit(
+                f"backend {name!r} diverged from the python oracle on the "
+                f"home-shard scan of query {query} — refusing to report "
+                "its latency"
+            )
+    best = {name: float("inf") for name in backends}
+    for _ in range(TRIALS):
+        for name in backends:
+            backend = get_backend(name)
+            t0 = time.perf_counter()
+            for _ in range(REPS):
+                scan(backend)
+            best[name] = min(
+                best[name], (time.perf_counter() - t0) / REPS * 1e6
+            )
+    sharded.clear_rows(y, rows)
+    return best
+
+
 def geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
@@ -158,11 +201,23 @@ def run_bench(quick: bool = False) -> dict:
     backends = list(available_backends())
     y = np.zeros(graph.n_nodes)
 
+    sharded = ShardedIndex.from_index(index, N_SHARDS, partitioner="louvain")
+    timers = [
+        (
+            workload,
+            lambda q, spec=spec: time_backends(prepared, y, q, spec, backends),
+        )
+        for workload, spec in make_workloads(hubs)
+    ]
+    timers.append(
+        ("shard_home", lambda q: time_shard_home(sharded, q, backends))
+    )
+
     results = []
     speedups: Dict[str, Dict[str, List[float]]] = {}
-    for workload, spec in make_workloads(hubs):
+    for workload, timer in timers:
         for query in hubs:
-            latencies = time_backends(prepared, y, query, spec, backends)
+            latencies = timer(query)
             results.append(
                 {
                     "workload": workload,
@@ -205,6 +260,11 @@ def run_bench(quick: bool = False) -> dict:
             "n_edges": N_EDGES,
             "seed": GRAPH_SEED,
             "c": C,
+        },
+        "shard_home": {
+            "n_shards": N_SHARDS,
+            "partitioner": "louvain",
+            "k": SHARD_K,
         },
         "queries": hubs,
         "reps": REPS,

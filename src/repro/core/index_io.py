@@ -31,11 +31,13 @@ Three format versions exist:
   plus the basenames of the shard files.  Each shard file
   (``<stem>.shard<NNN>.npz``) holds only that shard's scan payload:
   its members, their scan order/norms and their ``U^-1`` rows as a
-  concatenated CSR triple.  A gather node loads everything
-  (:func:`load_sharded_index`); a shard worker passes ``only={i}`` and
-  loads the manifest plus its own payload.  A manifest referencing a
-  shard file that is missing (or unreadable) raises a clear
-  :class:`~repro.exceptions.SerializationError` naming both files.
+  concatenated CSR triple; the within-shard block summaries are
+  derived from those rows on load, not stored.  A gather node loads
+  everything (:func:`load_sharded_index`); a shard worker passes
+  ``only={i}`` and loads the manifest plus its own payload.  A manifest
+  referencing a shard file that is missing (or unreadable) raises a
+  clear :class:`~repro.exceptions.SerializationError` naming both
+  files.
 
 v1 archives load transparently (their caches are rebuilt on load);
 archives from *future* versions are rejected with a clear

@@ -22,16 +22,20 @@ global K-th proximity** — the shard-level analogue of the Lemma 2
 cut-off, and like it a pure pruning rule: answers stay bit-identical to
 the single-index engine.
 
-Within a shard, members are scanned in descending order of their
-``U^-1`` row 1-norm; the per-node Hölder bound
-``p_u <= c · ||U^-1[u,:]||_1 · max(y)`` allows an early break once the
-sorted norms drop below the cut-off.  Exact proximities are computed as
-the *same* sparse-row dot over the *same* arrays as the unified kernel
-(:func:`~repro.query.kernel.pruned_scan`), so every reported float is
-bitwise equal to the single-index answer; the canonical ``(proximity,
--node)`` heap discipline shared with the kernel makes tie resolution
-order-independent, which is what lets per-shard candidates merge into
-the exact same top-k set.
+Within a shard the same argument runs one level down.  Members keep a
+fixed scan order (descending ``U^-1`` row 1-norm, ties by id) and are
+grouped into blocks of :data:`SCAN_BLOCK` consecutive members, each
+summarised by the columnwise maximum of its rows.  A block's bound is
+the smaller of its colmax contraction and the Hölder bound
+``c · ||U^-1[u,:]||_1 · max(y)`` of its first (largest-norm) member;
+blocks are visited in descending bound order and the first one whose
+bound falls below the cut-off ends the scan.  Exact proximities are
+computed as the *same* sparse-row dot over the *same* arrays as the
+unified kernel (:func:`~repro.query.kernel.pruned_scan`), so every
+reported float is bitwise equal to the single-index answer; the
+canonical ``(proximity, -node)`` heap discipline shared with the kernel
+makes tie resolution order-independent, which is what lets per-shard
+candidates merge into the exact same top-k set.
 
 The shard payloads are what the serving tier distributes: format-v3
 archives (:mod:`repro.core.index_io`) persist one manifest (shared
@@ -61,6 +65,11 @@ SHARD_PARTITIONERS = ("louvain", "range")
 #: the accumulated rounding (≲ n·ε relative) so a bound can never be
 #: rounded *below* a proximity it must dominate.
 BOUND_SLACK = 1.0 + 1e-9
+
+#: Members per block of the within-shard scan: runs of consecutive
+#: scan-order members that :func:`scan_shard` bounds, orders and skips
+#: as a whole.
+SCAN_BLOCK = 16
 
 
 def shard_assignment(
@@ -152,6 +161,11 @@ class ShardIndex:
     that order — each row slice copied *verbatim* from the global
     ``U^-1`` CSR so the per-node dot product reproduces the unified
     kernel's float result bit-for-bit.
+
+    ``block_indptr`` / ``block_indices`` / ``block_data`` are derived
+    from those rows, not stored: one CSR row per block of
+    :data:`SCAN_BLOCK` consecutive members, holding the columnwise
+    maximum of the block's rows (see :func:`block_bounds`).
     """
 
     __slots__ = (
@@ -162,6 +176,9 @@ class ShardIndex:
         "row_indptr",
         "row_indices",
         "row_data",
+        "block_indptr",
+        "block_indices",
+        "block_data",
         "_backend_cache",
     )
 
@@ -183,6 +200,11 @@ class ShardIndex:
         self.row_indptr = np.asarray(row_indptr, dtype=np.int64).tolist()
         self.row_indices = np.asarray(row_indices, dtype=np.int64)
         self.row_data = np.asarray(row_data, dtype=np.float64)
+        (
+            self.block_indptr,
+            self.block_indices,
+            self.block_data,
+        ) = _block_colmax(self.row_indptr, self.row_indices, self.row_data)
         # Per-backend derived state (numpy mirrors, scratch buffers),
         # keyed by kernel-backend name; see repro.query.backends.base.
         self._backend_cache: dict = {}
@@ -192,15 +214,41 @@ class ShardIndex:
         return len(self.scan_nodes)
 
 
+def _block_colmax(
+    indptr: List[int], indices: np.ndarray, data: np.ndarray
+) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The columnwise max of each :data:`SCAN_BLOCK` run of rows, as CSR.
+
+    Built one block at a time, so no temporary the size of the whole
+    shard is ever allocated.
+    """
+    n_rows = len(indptr) - 1
+    block_indptr = [0]
+    columns, maxima = [], []
+    for first in range(0, n_rows, SCAN_BLOCK):
+        lo, hi = indptr[first], indptr[min(first + SCAN_BLOCK, n_rows)]
+        cols, inverse = np.unique(indices[lo:hi], return_inverse=True)
+        colmax = np.zeros(cols.size, dtype=np.float64)
+        np.maximum.at(colmax, inverse, data[lo:hi])
+        columns.append(cols)
+        maxima.append(colmax)
+        block_indptr.append(block_indptr[-1] + cols.size)
+    if not columns:
+        return block_indptr, np.zeros(0, dtype=np.int64), np.zeros(0)
+    return block_indptr, np.concatenate(columns), np.concatenate(maxima)
+
+
 def canonical_heap(n: int, k: int) -> List[Tuple[float, int, int]]:
-    """A K-slot candidate heap primed with dummies, kernel-compatible.
+    """A candidate heap primed with ``min(k, n)`` dummies, kernel-compatible.
 
     Entries are ``(proximity, -node, node)`` exactly as in
     :func:`~repro.query.kernel.pruned_scan`, so the heap minimum is the
     canonically worst retained answer and merging candidates from any
     number of shard scans resolves ties identically to one global scan.
+    No answer has more than ``n`` nodes, so a larger ``k`` gets the
+    same heap as ``k = n``.
     """
-    heap = [(0.0, -(n + j), -1) for j in range(k)]
+    heap = [(0.0, -(n + j), -1) for j in range(min(k, n))]
     heapq.heapify(heap)
     return heap
 
@@ -242,6 +290,34 @@ def heap_items(heap: List[Tuple[float, int, int]]) -> Tuple[Tuple[int, float], .
     return tuple((node, p) for p, _, node in heap if node >= 0)
 
 
+def block_bounds(
+    shard: ShardIndex, c: float, y: np.ndarray, ymax: float
+) -> List[float]:
+    """Per-block upper bounds on a shard's member proximities.
+
+    Block ``b`` holds scan-order members ``b·SCAN_BLOCK`` up to the next
+    block.  Its bound is the smaller of two that each dominate every
+    member: ``c·Σ_j colmax_b[j]·y_j`` (the canonical reduction over the
+    block's summary row) and ``c·max(y)·||U^-1 row||_1`` of the block's
+    first member, whose norm is the block's largest.  Both carry
+    :data:`BOUND_SLACK`.  This is the reference every kernel backend's
+    ``scan_shard`` reproduces.
+    """
+    indptr = shard.block_indptr
+    indices = shard.block_indices
+    data = shard.block_data
+    norms = shard.scan_norms
+    holder = c * ymax
+    bounds = []
+    for b in range(len(indptr) - 1):
+        lo, hi = indptr[b], indptr[b + 1]
+        colmax = c * float(
+            (data[lo:hi] * y[indices[lo:hi]]).cumsum()[-1] + 0.0
+        ) if hi > lo else 0.0
+        bounds.append(min(colmax, holder * norms[b * SCAN_BLOCK]) * BOUND_SLACK)
+    return bounds
+
+
 def scan_shard_reference(
     shard: ShardIndex,
     c: float,
@@ -260,27 +336,29 @@ def scan_shard_reference(
     pinning the accumulator-starts-at-+0.0 signed-zero convention.
     """
     nodes = shard.scan_nodes
-    norms = shard.scan_norms
     indptr = shard.row_indptr
     indices = shard.row_indices
     data = shard.row_data
     admit = heap_admit
-    cmax = c * ymax * BOUND_SLACK
+    bounds = block_bounds(shard, c, y, ymax)
     checked = 0
     computed = 0
-    for i, node in enumerate(nodes):
+    for b in sorted(range(len(bounds)), key=lambda b: (-bounds[b], b)):
         theta = heap[0][0]
         if floor > theta:
             theta = floor
-        checked += 1
-        if cmax * norms[i] < theta:
+        first = b * SCAN_BLOCK
+        last = min(first + SCAN_BLOCK, len(nodes))
+        checked += last - first
+        if bounds[b] < theta:
             break
-        lo, hi = indptr[i], indptr[i + 1]
-        proximity = c * float(
-            (data[lo:hi] * y[indices[lo:hi]]).cumsum()[-1] + 0.0
-        ) if hi > lo else 0.0
-        computed += 1
-        admit(heap, node, proximity)
+        for i in range(first, last):
+            lo, hi = indptr[i], indptr[i + 1]
+            proximity = c * float(
+                (data[lo:hi] * y[indices[lo:hi]]).cumsum()[-1] + 0.0
+            ) if hi > lo else 0.0
+            admit(heap, nodes[i], proximity)
+        computed += last - first
     return checked, computed
 
 
@@ -295,20 +373,22 @@ def scan_shard(
 ) -> Tuple[int, int]:
     """Scan one shard's members against the canonical heap, in place.
 
-    Members arrive in descending row-norm order, so the first member
-    whose Hölder bound ``c·||row||₁·max(y)`` drops below the cut-off
-    certifies every later member is out too (their bounds are no
-    larger) — the within-shard miniature of Lemma 2.  ``floor`` is an
+    Blocks of :data:`SCAN_BLOCK` members are visited in descending
+    :func:`block_bounds` order (ties by block index); a visited block
+    has every member's exact proximity offered to the heap.  The first
+    block whose bound drops below the cut-off certifies every later
+    block is out too (their bounds are no larger and θ only grows) —
+    the cross-shard Lemma 2 argument one level down.  ``floor`` is an
     externally known θ (the gather side's running K-th proximity); the
-    cut-off is ``max(floor, heap minimum)`` and only ever grows, so the
-    prune stays sound mid-scan.
+    cut-off is ``max(floor, heap minimum)``.
 
     ``backend`` selects the kernel backend (name, backend object, or
     ``None`` for the ``REPRO_KERNEL_BACKEND`` environment default); all
     backends are bit-identical, see :mod:`repro.query.backends`.
 
-    Returns ``(n_checked, n_computed)``: members whose bound was
-    evaluated, and members whose exact proximity was computed.
+    Returns ``(n_checked, n_computed)``: the members of every block
+    whose bound was compared with θ (the block that ended the scan
+    included), and the members whose exact proximity was computed.
     """
     # Function-level import: repro.query.backends imports this module
     # for the reference loop above.

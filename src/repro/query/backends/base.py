@@ -2,7 +2,7 @@
 
 A *kernel backend* is an interchangeable implementation of the two hot
 loops of the library — the Algorithm 4 pruned scan
-(:meth:`KernelBackend.scan`) and the within-shard Hölder-bounded scan
+(:meth:`KernelBackend.scan`) and the within-shard block-bounded scan
 (:meth:`KernelBackend.scan_shard`).  Backends trade implementation
 strategy (pure-Python loop, blocked numpy vectorisation) but are
 **forbidden** from trading answers:
@@ -15,11 +15,14 @@ bit-identical to the ``python`` reference backend:
 - ``ScanResult.items`` — the same ``(node, proximity)`` tuples with the
   same float *bit patterns*, in the same canonical-heap array order.
   This pins not just the admitted set but the exact sequence of heap
-  operations (k-dummy ``heapify`` + ``heapreplace``), because the raw
-  heap array layout depends on it.
+  operations (``min(k, n)``-dummy ``heapify`` + ``heapreplace``),
+  because the raw heap array layout depends on it.
 - ``n_visited`` / ``n_computed`` / ``n_pruned`` — identical search
   counters, which pins the early-exit point to the exact node.
 - ``terminated_early`` — identical Lemma 2 termination flag.
+- for ``scan_shard``: the same heap state and the same
+  ``(n_checked, n_computed)`` pair, which pins the visit order of the
+  shard's blocks and the block that ends the scan.
 
 The float side of the contract rests on one **canonical reduction
 primitive**: the proximity dot ``p_u = c · Σ_t data[t] · y[indices[t]]``

@@ -53,6 +53,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.sparse import _sparsetools as _st
 
+from ...core.sharded import BOUND_SLACK, SCAN_BLOCK
 from .base import ScanResult
 from .python_ref import PythonReferenceBackend
 
@@ -152,20 +153,31 @@ class _PreparedState:
 
 
 class _ShardState:
-    """Per-shard numpy mirrors + scratch for the blocked shard scan."""
+    """Per-shard numpy mirrors + scratch for the block shard scan."""
 
-    __slots__ = ("norms", "indptr", "indices64", "data64", "bp", "pbuf")
+    __slots__ = (
+        "indptr",
+        "indices64",
+        "data64",
+        "block_indptr",
+        "head_norms",
+        "bounds",
+        "pbuf",
+    )
 
     def __init__(self, shard) -> None:
-        self.norms = np.asarray(shard.scan_norms, dtype=np.float64)
         self.indptr = np.asarray(shard.row_indptr, dtype=np.int64)
         self.indices64 = np.ascontiguousarray(
             shard.row_indices, dtype=np.int64
         )
         self.data64 = np.ascontiguousarray(shard.row_data, dtype=np.float64)
-        nm = len(shard.scan_nodes)
-        self.bp = np.empty(nm + 1, dtype=np.int64)
-        self.pbuf = np.empty(nm, dtype=np.float64)
+        self.block_indptr = np.asarray(shard.block_indptr, dtype=np.int64)
+        # Row 1-norm of each block's first member: its Hölder bound.
+        self.head_norms = np.asarray(
+            shard.scan_norms[::SCAN_BLOCK], dtype=np.float64
+        )
+        self.bounds = np.empty(self.head_norms.shape[0], dtype=np.float64)
+        self.pbuf = np.empty(SCAN_BLOCK, dtype=np.float64)
 
 
 class NumpyBlockedBackend:
@@ -248,7 +260,7 @@ class NumpyBlockedBackend:
             # raw heap array order IS ScanResult.items, so the heapify
             # and every heapreplace must happen identically.
             heap: List[Tuple[float, int, int]] = [
-                (0.0, -(n + j), -1) for j in range(k)
+                (0.0, -(n + j), -1) for j in range(min(k, n))
             ]
             heapq.heapify(heap)
             theta = 0.0
@@ -592,91 +604,69 @@ class NumpyBlockedBackend:
         heap: List[Tuple[float, int, int]],
         floor: float = 0.0,
     ) -> Tuple[int, int]:
-        """Blocked within-shard scan, bit-identical to the reference.
+        """Block shard scan, bit-identical to the reference.
 
-        Members arrive sorted by descending row norm, so the Hölder
-        cut-off sequence ``cmax·norms[i]`` is non-increasing *by
-        construction* — the monotone candidate-replay argument of the
-        main scan applies with no float-level guard needed.
+        Every block bound comes from one ``csr_matvec`` over the colmax
+        summary (the canonical reduction), then the same elementwise
+        Hölder cap and slack as :func:`~repro.core.sharded.block_bounds`.
+        A block is a contiguous run of rows, so its proximities are one
+        ``csr_matvec`` over a view of the shard's CSR; only members with
+        ``p >= θ_heap`` replay the scalar heap test (θ only grows, so
+        no other member can be admitted).
         """
         nodes = shard.scan_nodes
         nm = len(nodes)
         if nm == 0:
             return (0, 0)
         state = self._shard_state(shard)
-        norms = state.norms
         indptr = state.indptr
         indices = state.indices64
         data = state.data64
         csr_matvec = _st.csr_matvec
         heapreplace = heapq.heapreplace
-        from ...core.sharded import BOUND_SLACK
 
         n = int(y.shape[0])
-        cmax = c * ymax * BOUND_SLACK
-        # Two cut-offs, as in the reference: the Hölder prune uses
-        # max(floor, heap minimum), but admission only compares against
-        # the heap itself — a member below the floor can still enter the
-        # heap (the gather side re-merges under the true global θ).
-        heap_theta = heap[0][0]
-        theta = heap_theta
-        if floor > theta:
-            theta = floor
+        bounds = state.bounds
+        bounds[:] = 0.0
+        csr_matvec(
+            bounds.shape[0],
+            n,
+            state.block_indptr,
+            shard.block_indices,
+            shard.block_data,
+            y,
+            bounds,
+        )
+        bounds *= c
+        np.minimum(bounds, state.head_norms * (c * ymax), out=bounds)
+        bounds *= BOUND_SLACK
+        bound_list = bounds.tolist()
         checked = 0
         computed = 0
-        i0 = 0
-        chunk = CHUNK_START
-        while i0 < nm:
-            # Head-of-chunk Hölder check, before any gather work.
-            if cmax * float(norms[i0]) < theta:
-                checked += 1
-                return (checked, computed)
-            i1 = min(i0 + chunk, nm)
-            chunk = min(chunk * 2, CHUNK_MAX)
-            mc = i1 - i0
-            lo_g = int(indptr[i0])
-            hi_g = int(indptr[i1])
-            bp = state.bp[: mc + 1]
-            np.subtract(indptr[i0 : i1 + 1], lo_g, out=bp)
-            p = state.pbuf[:mc]
+        for b in np.argsort(-bounds, kind="stable").tolist():
+            # Two cut-offs, as in the reference: blocks are pruned
+            # against max(floor, heap minimum), but admission compares
+            # only against the heap — a member below the floor can still
+            # enter it (the gather side re-merges under the global θ).
+            heap_theta = heap[0][0]
+            theta = floor if floor > heap_theta else heap_theta
+            first = b * SCAN_BLOCK
+            last = min(first + SCAN_BLOCK, nm)
+            checked += last - first
+            if bound_list[b] < theta:
+                break
+            m = last - first
+            p = state.pbuf[:m]
             p[:] = 0.0
-            csr_matvec(mc, n, bp, indices[lo_g:hi_g], data[lo_g:hi_g], y, p)
+            csr_matvec(m, n, indptr[first : last + 1], indices, data, y, p)
             p *= c
-
-            # Candidates against the *heap* minimum (admission rule);
-            # the floored theta only drives the cut-off checks.
-            cand = np.nonzero(p >= heap_theta)[0].tolist()
-            last_adm = -1
-            s_idx = -1
-            for idx in cand:
-                if cmax * float(norms[i0 + idx]) < theta:
-                    lo = last_adm + 1
-                    s_idx = lo + int(
-                        np.argmax(
-                            cmax * norms[i0 + lo : i0 + idx + 1] < theta
-                        )
-                    )
-                    break
-                node = nodes[i0 + idx]
+            computed += m
+            for idx in np.flatnonzero(p >= heap_theta).tolist():
+                node = nodes[first + idx]
                 proximity = float(p[idx])
                 worst = heap[0]
                 if proximity > worst[0] or (
                     proximity == worst[0] and -node > worst[1]
                 ):
                     heapreplace(heap, (proximity, -node, node))
-                    heap_theta = heap[0][0]
-                    theta = heap_theta if heap_theta > floor else floor
-                    last_adm = idx
-            if s_idx < 0 and cmax * float(norms[i1 - 1]) < theta:
-                lo = last_adm + 1
-                s_idx = lo + int(
-                    np.argmax(cmax * norms[i0 + lo : i1] < theta)
-                )
-            if s_idx >= 0:
-                checked += s_idx + 1
-                computed += s_idx
-                return (checked, computed)
-            checked += mc
-            computed += mc
-            i0 = i1
         return (checked, computed)

@@ -52,11 +52,13 @@ class PythonReferenceBackend:
         use_heap = k is not None
         if use_heap:
             # Candidate heap primed with K dummies of proximity 0
-            # (Algorithm 4 line 4).  Entries are ``(proximity, -node,
-            # node)``, so the heap minimum is the *canonically worst*
-            # retained answer — lowest proximity first, then largest
-            # node id — and ties at the K-th value are resolved
-            # identically regardless of visit order.  The canonical
+            # (Algorithm 4 line 4), at most n of them: no answer has
+            # more than n nodes, so k >= n scans exactly as k = n.
+            # Entries are ``(proximity, -node, node)``, so the heap
+            # minimum is the *canonically worst* retained answer —
+            # lowest proximity first, then largest node id — and ties
+            # at the K-th value are resolved identically regardless of
+            # visit order.  The canonical
             # tie-break is what lets a sharded scatter-gather plan
             # (:mod:`repro.query.planner`) merge per-shard candidates
             # into bit-identical answers, and what keeps the golden
@@ -64,7 +66,7 @@ class PythonReferenceBackend:
             # refactors.  Dummy ids ``n + j`` sit below every real node
             # at proximity 0.
             heap: List[Tuple[float, int, int]] = [
-                (0.0, -(n + j), -1) for j in range(k)
+                (0.0, -(n + j), -1) for j in range(min(k, n))
             ]
             heapq.heapify(heap)
             heapreplace = heapq.heapreplace

@@ -465,7 +465,8 @@ class FrontDoor:
             while True:
                 try:
                     frame = await self._read_frame(reader)
-                except (ValueError, UnicodeDecodeError) as exc:
+                except (ValueError, UnicodeDecodeError, RecursionError) as exc:
+                    # RecursionError: json.loads on a deeply nested frame.
                     await out_q.put(
                         {"status": "error", "message": f"protocol error: {exc}"}
                     )

@@ -180,6 +180,19 @@ class TestProtocolAndOps:
                 with pytest.raises(ServingError, match="closed"):
                     client.recv()
 
+    def test_deeply_nested_payload_is_protocol_error(self, snapshot):
+        # json.loads raises RecursionError, not ValueError, on this frame.
+        with running_door(snapshot) as door:
+            with FrontDoorClient(*door.address) as client:
+                data = b"[" * 100_000 + b"]" * 100_000
+                client._sock.sendall(FRAME_HEADER.pack(len(data)) + data)
+                response = client.recv()
+                assert response["status"] == "error"
+                assert "protocol error" in response["message"]
+                with pytest.raises(ServingError, match="closed"):
+                    client.recv()
+            assert door.reconciled()
+
     def test_oversized_frame_length_is_protocol_error(self, snapshot):
         with running_door(snapshot) as door:
             with FrontDoorClient(*door.address) as client:

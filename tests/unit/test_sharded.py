@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from repro.core import KDash, ShardedIndex, shard_assignment
-from repro.core.sharded import canonical_heap, heap_items, merge_candidates
+from repro.core.sharded import (
+    BOUND_SLACK,
+    SCAN_BLOCK,
+    ShardIndex,
+    block_bounds,
+    canonical_heap,
+    heap_items,
+    merge_candidates,
+    scan_shard,
+)
 from repro.exceptions import InvalidParameterError
 from repro.graph import erdos_renyi_graph, planted_partition_graph, star_graph
 from repro.query import QueryEngine, ScatterGatherPlanner
@@ -64,17 +73,27 @@ class TestShardedIndex:
         assert sorted(seen.tolist()) == list(range(sharded.n))
 
     def test_summary_bounds_dominate_member_proximities(self, clustered_index):
-        """The colmax bound must upper-bound every member's exact value."""
-        sharded = ShardedIndex.from_index(clustered_index, 4)
-        y = sharded.workspace()
-        for query in range(0, sharded.n, 7):
-            rows, vals = sharded.scatter_column(y, query)
-            column = clustered_index.proximity_column(query)
-            for summary, shard in zip(sharded.summaries, sharded.shards):
-                bound = summary.bound(sharded.c, rows, vals)
-                if shard.members.size:
-                    assert bound >= column[shard.members].max()
-            sharded.clear_rows(y, rows)
+        """The colmax bound must upper-bound every member's exact value,
+        and so must every block bound the shard scan computes."""
+        # One shard of 60 members spans four blocks, the last partial.
+        for n_shards in (1, 4):
+            sharded = ShardedIndex.from_index(clustered_index, n_shards)
+            y = sharded.workspace()
+            for query in range(0, sharded.n, 7):
+                rows, vals = sharded.scatter_column(y, query)
+                ymax = float(vals.max())
+                column = clustered_index.proximity_column(query)
+                for summary, shard in zip(sharded.summaries, sharded.shards):
+                    bound = summary.bound(sharded.c, rows, vals)
+                    if shard.members.size:
+                        assert bound >= column[shard.members].max()
+                    bounds = block_bounds(shard, sharded.c, y, ymax)
+                    assert len(bounds) == -(-shard.n_members // SCAN_BLOCK)
+                    for b, bound in enumerate(bounds):
+                        first = b * SCAN_BLOCK
+                        block = shard.scan_nodes[first : first + SCAN_BLOCK]
+                        assert bound >= column[block].max()
+                sharded.clear_rows(y, rows)
 
     def test_scan_norms_descend(self, clustered_index):
         sharded = ShardedIndex.from_index(clustered_index, 3)
@@ -102,6 +121,38 @@ class TestShardedIndex:
             clustered_index, 3, partitioner="range", seed=5
         )
         assert sharded.spec == (3, "range", 5)
+
+
+class TestBlockScan:
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    def test_holder_cap_orders_blocks(self, backend):
+        """A block's bound is capped by its first member's Hölder bound.
+
+        Block 0 holds 16 rows of norm 1 on one column (colmax sum 0.95),
+        block 1 holds 16 disjoint rows of norm 0.9 (colmax sum 14.4,
+        Hölder bound 0.9).  Capped, block 0 is visited first and its
+        0.95-proximity members certify block 1 out.
+        """
+        n = 17
+        shard = ShardIndex(
+            0,
+            np.arange(32),
+            list(range(32)),
+            [1.0] * 16 + [0.9] * 16,
+            np.arange(33),
+            np.array([0] * 16 + list(range(1, 17))),
+            np.array([1.0] * 16 + [0.9] * 16),
+        )
+        y = np.ones(n)
+        y[0] = 0.95
+        c = 0.9
+        assert block_bounds(shard, c, y, 1.0) == [
+            c * 0.95 * BOUND_SLACK,
+            c * 1.0 * 0.9 * BOUND_SLACK,
+        ]
+        heap = canonical_heap(n, 1)
+        assert scan_shard(shard, c, y, 1.0, heap, backend=backend) == (32, 16)
+        assert heap_items(heap) == ((0, c * 0.95),)
 
 
 class TestCanonicalHeapHelpers:
@@ -142,6 +193,27 @@ class TestScatterGatherPlanner:
             planner.top_k(0, n + 10).items
             == clustered_index.top_k(0, n + 10).items
         )
+
+    def test_huge_k_costs_what_k_equals_n_costs(self, clustered_index):
+        """Candidate heaps hold min(k, n) dummies, never k of them."""
+        import tracemalloc
+
+        n = clustered_index.graph.n_nodes
+        planner = ScatterGatherPlanner(ShardedIndex.from_index(clustered_index, 2))
+        for top_k in (clustered_index.top_k, planner.top_k):
+            want = top_k(3, n)
+            tracemalloc.start()
+            try:
+                got = top_k(3, 10**6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * 2**20
+            assert (got.items, got.n_visited, got.n_computed) == (
+                want.items,
+                want.n_visited,
+                want.n_computed,
+            )
 
     def test_rejects_partial_sharded_index(self, clustered_index, tmp_path):
         from repro.core import load_sharded_index, save_sharded_index
