@@ -56,8 +56,10 @@ Threading model (the scheduler is synchronous and single-owner):
   reads frames, performs admission, writes responses;
 - the **dispatch thread** owns the scheduler: it pulls admitted
   requests off a thread-safe queue in *waves* (everything queued at
-  that moment), submits them, drains the pool, and resolves each
-  request's future via ``loop.call_soon_threadsafe``.
+  that moment), submits them, drains the pool, and hands every
+  response of the wave to the event loop in one
+  ``loop.call_soon_threadsafe`` call; the loop writes each frame
+  straight to its connection.
 
 Every terminal outcome increments exactly one of the per-status
 counters, so ``ok + rejected + draining + deadline_exceeded + error ==
@@ -99,6 +101,31 @@ def encode_frame(payload: dict) -> bytes:
     return FRAME_HEADER.pack(len(data)) + data
 
 
+class _Connection:
+    """One client connection: its writer and its unanswered requests.
+
+    Used only on the event loop.
+    """
+
+    __slots__ = ("writer", "pending", "idle")
+
+    def __init__(self, writer):
+        self.writer = writer
+        self.pending = 0  # admitted requests not yet answered
+        self.idle = None  # future the closing reader waits on, if pending
+
+    def write(self, payload: dict) -> None:
+        if not self.writer.is_closing():
+            self.writer.write(encode_frame(payload))
+
+    def answer(self, response: dict) -> None:
+        """Write the response of one admitted request."""
+        self.write(response)
+        self.pending -= 1
+        if not self.pending and self.idle is not None and not self.idle.done():
+            self.idle.set_result(None)
+
+
 class _Request:
     """One admitted query riding from the I/O thread to dispatch."""
 
@@ -109,17 +136,17 @@ class _Request:
         "precision",
         "deadline",
         "t_recv",
-        "future",
+        "conn",
     )
 
-    def __init__(self, req_id, query, k, precision, deadline, t_recv, future):
+    def __init__(self, req_id, query, k, precision, deadline, t_recv, conn):
         self.req_id = req_id
         self.query = query
         self.k = k
         self.precision = precision  # canonical spec string or None
         self.deadline = deadline
         self.t_recv = t_recv
-        self.future = future
+        self.conn = conn
 
 
 class _Publish:
@@ -436,18 +463,6 @@ class FrontDoor:
             raise ValueError("frame payload must be a JSON object")
         return payload
 
-    async def _write_loop(self, writer, out_q) -> None:
-        """Single writer per connection: serializes pipelined responses."""
-        while True:
-            frame = await out_q.get()
-            if frame is None:
-                break
-            try:
-                writer.write(encode_frame(frame))
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                break
-
     async def _handle_connection(self, reader, writer) -> None:
         try:
             await self._serve_connection(reader, writer)
@@ -458,48 +473,40 @@ class FrontDoor:
             writer.close()
 
     async def _serve_connection(self, reader, writer) -> None:
-        out_q: asyncio.Queue = asyncio.Queue()
-        write_task = asyncio.ensure_future(self._write_loop(writer, out_q))
-        pending: set = set()
+        conn = _Connection(writer)
         try:
             while True:
                 try:
                     frame = await self._read_frame(reader)
                 except (ValueError, UnicodeDecodeError, RecursionError) as exc:
                     # RecursionError: json.loads on a deeply nested frame.
-                    await out_q.put(
-                        {"status": "error", "message": f"protocol error: {exc}"}
-                    )
+                    conn.write({"status": "error", "message": f"protocol error: {exc}"})
                     break
                 if frame is None:
                     break
-                await self._handle_frame(frame, out_q, pending)
+                await self._handle_frame(frame, conn)
         finally:
             # Pipelined requests still in flight get their responses
             # before the connection closes.
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-            await out_q.put(None)
-            try:
-                await write_task
-            except asyncio.CancelledError:  # pragma: no cover - shutdown race
-                pass
+            if conn.pending:
+                conn.idle = self._loop.create_future()
+                await conn.idle
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, OSError):  # pragma: no cover
                 pass
 
-    async def _handle_frame(self, frame: dict, out_q, pending: set) -> None:
+    async def _handle_frame(self, frame: dict, conn: _Connection) -> None:
         op = frame.get("op", "query")
         req_id = frame.get("id")
         if op == "ping":
-            await out_q.put({"id": req_id, "status": "ok", "pong": True})
+            conn.write({"id": req_id, "status": "ok", "pong": True})
             return
         if op == "info":
             with self._lock:
                 inflight, draining = self._inflight, self._draining
-            await out_q.put(
+            conn.write(
                 {
                     "id": req_id,
                     "status": "ok",
@@ -513,7 +520,7 @@ class FrontDoor:
             )
             return
         if op != "query":
-            await out_q.put(
+            conn.write(
                 {
                     "id": req_id,
                     "status": "error",
@@ -526,9 +533,7 @@ class FrontDoor:
         error = self._validate(frame)
         if error is not None:
             self._count("error")
-            await out_q.put(
-                {"id": req_id, "status": "error", "message": error}
-            )
+            conn.write({"id": req_id, "status": "error", "message": error})
             return
         with self._lock:
             if self._failed is not None:
@@ -546,7 +551,7 @@ class FrontDoor:
             response = {"id": req_id, "status": status}
             if message is not None:
                 response["message"] = message
-            await out_q.put(response)
+            conn.write(response)
             if status == "rejected":
                 # Backpressure: this connection stops reading until an
                 # admitted request completes somewhere.
@@ -558,19 +563,18 @@ class FrontDoor:
         deadline = (
             None if timeout_ms is None else t_recv + float(timeout_ms) / 1000.0
         )
-        request = _Request(
-            req_id,
-            int(frame["query"]),
-            int(frame.get("k", self.default_k)),
-            self._precision_spec(frame),
-            deadline,
-            t_recv,
-            self._loop.create_future(),
+        conn.pending += 1
+        self._work_q.put(
+            _Request(
+                req_id,
+                int(frame["query"]),
+                int(frame.get("k", self.default_k)),
+                self._precision_spec(frame),
+                deadline,
+                t_recv,
+                conn,
+            )
         )
-        self._work_q.put(request)
-        task = asyncio.ensure_future(self._await_response(request, out_q))
-        pending.add(task)
-        task.add_done_callback(pending.discard)
 
     def _validate(self, frame: dict) -> Optional[str]:
         query = frame.get("query")
@@ -625,10 +629,6 @@ class FrontDoor:
         )
         return PrecisionPolicy.parse(spec).spec
 
-    async def _await_response(self, request: _Request, out_q) -> None:
-        response = await request.future
-        await out_q.put(response)
-
     async def _wait_capacity(self) -> None:
         while True:
             with self._lock:
@@ -641,10 +641,11 @@ class FrontDoor:
             self._capacity_event.clear()
             await self._capacity_event.wait()
 
-    def _signal_capacity(self) -> None:
-        # Runs on the event loop via call_soon_threadsafe.
-        if self._capacity_event is not None:
-            self._capacity_event.set()
+    def _deliver(self, answered: List[Tuple[_Request, dict]]) -> None:
+        """Write one wave's responses (runs on the event loop)."""
+        for request, response in answered:
+            request.conn.answer(response)
+        self._capacity_event.set()
 
     # ------------------------------------------------------------------
     # Dispatch thread: waves through the scheduler
@@ -660,6 +661,7 @@ class FrontDoor:
                     break
             stop = False
             submitted: List[Tuple[int, _Request]] = []
+            answered: List[Tuple[_Request, dict]] = []
             for entry in wave:
                 if entry is _STOP:
                     stop = True
@@ -667,58 +669,79 @@ class FrontDoor:
                 if isinstance(entry, _Publish):
                     # Requests admitted before the publish complete on
                     # their epoch first — the barrier contract.
-                    self._serve_wave(submitted)
-                    submitted = []
+                    self._serve_wave(submitted, answered)
+                    self._hand_off(answered)
+                    submitted, answered = [], []
                     try:
                         self.scheduler.publish(entry.snapshot)
                     except BaseException as exc:
                         entry.error = exc
                     entry.done.set()
                     continue
-                self._submit_request(entry, submitted)
-            self._serve_wave(submitted)
+                self._submit_request(entry, submitted, answered)
+            self._serve_wave(submitted, answered)
+            self._hand_off(answered)
             if stop:
                 return
 
     def _submit_request(
-        self, request: _Request, submitted: List[Tuple[int, _Request]]
+        self,
+        request: _Request,
+        submitted: List[Tuple[int, _Request]],
+        answered: List[Tuple[_Request, dict]],
     ) -> None:
         if (
             request.deadline is not None
             and time.perf_counter() >= request.deadline
         ):
             # Expired while queued: dropped before dispatch.
-            self._resolve(
-                request, {"id": request.req_id, "status": "deadline_exceeded"}
+            answered.append(
+                (request, {"id": request.req_id, "status": "deadline_exceeded"})
             )
             return
         if self._failed is not None:
-            self._resolve(
-                request,
-                {
-                    "id": request.req_id,
-                    "status": "error",
-                    "message": f"service failed: {self._failed}",
-                },
-            )
+            answered.append((request, self._failure(request)))
             return
         try:
             seq = self.scheduler.submit(
                 request.query, request.k, precision=request.precision
             )
+        except ServingError as exc:
+            # A full buffer went out to a dead worker.
+            self._fail(exc)
+            answered.append((request, self._failure(request)))
+            return
         except Exception as exc:
-            self._resolve(
-                request,
-                {
-                    "id": request.req_id,
-                    "status": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                },
+            answered.append(
+                (
+                    request,
+                    {
+                        "id": request.req_id,
+                        "status": "error",
+                        "message": f"{type(exc).__name__}: {exc}",
+                    },
+                )
             )
             return
         submitted.append((seq, request))
 
-    def _serve_wave(self, submitted: List[Tuple[int, _Request]]) -> None:
+    def _fail(self, exc: ServingError) -> None:
+        """The pool is gone: every later request is answered ``error``."""
+        with self._lock:
+            self._failed = str(exc)
+
+    def _failure(self, request: _Request) -> dict:
+        return {
+            "id": request.req_id,
+            "status": "error",
+            "message": f"service failed: {self._failed}",
+        }
+
+    def _serve_wave(
+        self,
+        submitted: List[Tuple[int, _Request]],
+        answered: List[Tuple[_Request, dict]],
+    ) -> None:
         if not submitted:
             return
         if self.wave_delay:
@@ -729,26 +752,16 @@ class FrontDoor:
         except ServingError as exc:
             # The pool is gone (worker crash mid-drain).  Every admitted
             # request still gets a terminal response — no hangs.
-            with self._lock:
-                self._failed = str(exc)
-            for _, request in submitted:
-                self._resolve(
-                    request,
-                    {
-                        "id": request.req_id,
-                        "status": "error",
-                        "message": f"service failed: {exc}",
-                    },
-                )
+            self._fail(exc)
+            answered.extend((r, self._failure(r)) for _, r in submitted)
             return
         epoch = self.scheduler.pool.snapshot.epoch
         now = time.perf_counter()
         for (_, request), result in zip(submitted, results):
             if request.deadline is not None and now >= request.deadline:
                 # Completed, but past its SLO: the answer is discarded.
-                self._resolve(
-                    request,
-                    {"id": request.req_id, "status": "deadline_exceeded"},
+                answered.append(
+                    (request, {"id": request.req_id, "status": "deadline_exceeded"})
                 )
                 continue
             self.latency.observe(now - request.t_recv)
@@ -771,27 +784,24 @@ class FrontDoor:
                 response["error_bound"] = float(
                     getattr(result, "error_bound", 0.0)
                 )
-            self._resolve(request, response)
+            answered.append((request, response))
 
-    def _resolve(self, request: _Request, response: dict) -> None:
-        self._count(response["status"])
+    def _hand_off(self, answered: List[Tuple[_Request, dict]]) -> None:
+        """Count the responses, then pass them to the event loop in one
+        ``call_soon_threadsafe``."""
+        if not answered:
+            return
         with self._lock:
-            self._inflight -= 1
+            for _, response in answered:
+                self._counts[response["status"]] += 1
+            self._inflight -= len(answered)
             idle = self._inflight == 0
         if idle:
             self._idle.set()
         try:
-            self._loop.call_soon_threadsafe(
-                self._set_future, request.future, response
-            )
-            self._loop.call_soon_threadsafe(self._signal_capacity)
+            self._loop.call_soon_threadsafe(self._deliver, answered)
         except RuntimeError:  # pragma: no cover - loop closed mid-shutdown
             pass
-
-    @staticmethod
-    def _set_future(future, response: dict) -> None:
-        if not future.done():
-            future.set_result(response)
 
 
 class FrontDoorClient:

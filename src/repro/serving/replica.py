@@ -4,7 +4,7 @@ One Python process can run exactly one pruned scan at a time, so a
 single ``QueryEngine`` caps out far below a multi-core box.  The pools
 fix that the way the paper's deployment model invites: the index is
 **read-only at serving time**, so worker processes need no coherence
-traffic.  Two pools share every queue and lifecycle mechanism here:
+traffic.  Two pools share every pipe and lifecycle mechanism here:
 
 - :class:`ReplicaPool` — N replicas, each a static
   :class:`~repro.query.engine.QueryEngine` over the whole snapshot
@@ -55,20 +55,36 @@ worker's :meth:`~repro.obs.metrics.MetricsRegistry.snapshot`; per-worker
 histograms share bucket bounds, so the pool folds them with
 :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
 
+Each worker has two one-way pipes: requests in, replies out.  No
+feeder thread stands between a call and its pipe: the worker blocks in
+``recv``/``send``, and the gather side writes a request itself and
+reads replies from whichever pipes are ready.  Its request ends are
+non-blocking, because a worker may be blocked writing a large reply
+while the gather side writes it a large batch; a send that finds the
+pipe full reads the ready replies into an inbox, which
+:meth:`ReplicaPool.recv` returns first, and retries.
+
 A worker that hits an unexpected exception reports its traceback and
-exits; the pool surfaces it as a :class:`~repro.exceptions.ServingError`
-on the next receive.
+exits, and the pool raises it as a
+:class:`~repro.exceptions.ServingError` on the next receive.  A worker
+that dies without a word (``kill -9``) closes its pipes, so the next
+receive or send to it raises a ``ServingError`` naming it at once,
+instead of waiting out the pool timeout.
 """
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import multiprocessing
+import os
 import pickle
-import queue as queue_module
+import select
+import struct
 import time
 import zipfile
+from multiprocessing import connection
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -85,18 +101,23 @@ from .snapshot import Snapshot
 #: the worker dead.  Generous: snapshot loads on large graphs are slow.
 DEFAULT_TIMEOUT = 120.0
 
+#: Length prefix of one pickled message, as ``Connection.recv`` reads it.
+_FRAME = struct.Struct("!i")
+
 
 @contextlib.contextmanager
 def read_snapshot_header(path: str, what: str = "snapshot"):
     """The lazily read ``.npz`` archive of a snapshot, for header fields.
 
     Only the members the caller indexes are read, so the payload stays
-    on disk.  An unreadable archive, or one missing a requested field,
+    on disk.  The header fields are plain int64 arrays, so nothing is
+    unpickled: a member holding a pickled object is refused.  An
+    unreadable archive, or one missing or pickling a requested field,
     raises :class:`~repro.exceptions.ServingError` naming ``what`` and
     the path.
     """
     try:
-        with np.load(path, allow_pickle=True) as archive:
+        with np.load(path, allow_pickle=False) as archive:
             yield archive
     except (
         OSError,
@@ -109,14 +130,14 @@ def read_snapshot_header(path: str, what: str = "snapshot"):
         raise ServingError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def _report_worker_crash(result_q, worker_id: int) -> None:
+def _report_worker_crash(replies, worker_id: int) -> None:
     """Ship the crashing worker's full traceback to the gather side.
 
     The reply carries ``traceback.format_exc()`` as a plain string —
     always picklable, unlike the exception object itself (a crash whose
-    exception can't cross the queue would otherwise be silently
+    exception can't cross the pipe would otherwise be silently
     swallowed and the pool would only see an opaque dead worker).  If
-    even the string can't be enqueued (queue torn down mid-crash), the
+    even the string can't be sent (the gather side is gone), the
     traceback goes to the worker's stderr instead of vanishing.
     """
     import sys
@@ -124,10 +145,10 @@ def _report_worker_crash(result_q, worker_id: int) -> None:
 
     detail = traceback.format_exc()
     try:
-        result_q.put(("error", worker_id, detail))
+        replies.send(("error", worker_id, detail))
     except Exception:
         print(
-            f"[worker {worker_id}] crash report lost to a dead queue:\n{detail}",
+            f"[worker {worker_id}] crash report lost to a closed pipe:\n{detail}",
             file=sys.stderr,
             flush=True,
         )
@@ -240,8 +261,8 @@ def worker_main(
     worker_id: int,
     snapshot_path: str,
     snapshot_epoch: int,
-    request_q,
-    result_q,
+    requests,
+    replies,
     cache_size: int,
 ) -> None:
     """Entry point of every pool worker process (module-level for spawn).
@@ -250,46 +271,40 @@ def worker_main(
     :class:`~repro.serving.sharded.ShardServer`) says what the worker
     serves; this loop owns the rest of the protocol: the ``ready``
     report, forward-only swaps, stats, metrics, stop, and crash reports.
+    ``requests`` and ``replies`` are the worker's ends of its two pipes.
     """
     try:
         epoch = int(snapshot_epoch)
         server = server_cls(worker_id, snapshot_path, epoch, cache_size)
-        result_q.put(("ready", worker_id, epoch))
+        replies.send(("ready", worker_id, epoch))
         while True:
-            message = request_q.get()
+            message = requests.recv()
             kind = message[0]
             if kind in server.REPLIES:
                 ctxs = message[3] if len(message) > 3 else None
-                replies, spans = server.serve(kind, message[2], ctxs)
-                reply = (server.REPLIES[kind], worker_id, message[1], replies)
-                result_q.put(reply + (spans,) if spans else reply)
+                answers, spans = server.serve(kind, message[2], ctxs)
+                reply = (server.REPLIES[kind], worker_id, message[1], answers)
+                replies.send(reply + (spans,) if spans else reply)
             elif kind == "swap":
                 _, new_epoch, path = message
                 # Only move forward: a stale broadcast (scheduler retry,
-                # replayed queue) must not roll the worker back.
+                # replayed message) must not roll the worker back.
                 if new_epoch > epoch:
                     server.swap(path, new_epoch)
                     epoch = new_epoch
-                result_q.put(("swapped", worker_id, int(new_epoch)))
+                replies.send(("swapped", worker_id, int(new_epoch)))
             elif kind == "stats":
-                result_q.put(("stats", worker_id, server.stats()))
+                replies.send(("stats", worker_id, server.stats()))
             elif kind == "metrics":
-                result_q.put(("metrics", worker_id, server.registry.snapshot()))
+                replies.send(("metrics", worker_id, server.registry.snapshot()))
             elif kind == "stop":
-                result_q.put(("stopped", worker_id, server.stats()))
+                replies.send(("stopped", worker_id, server.stats()))
                 break
             else:
-                result_q.put(
-                    ("error", worker_id, f"unknown message kind {kind!r}")
-                )
+                replies.send(("error", worker_id, f"unknown message kind {kind!r}"))
                 break
     except Exception:  # surface crashes instead of hanging the pool
-        _report_worker_crash(result_q, worker_id)
-    finally:
-        # Flush the queue feeder thread before the process exits so the
-        # final message is never lost.
-        result_q.close()
-        result_q.join_thread()
+        _report_worker_crash(replies, worker_id)
 
 
 class ReplicaPool:
@@ -317,7 +332,7 @@ class ReplicaPool:
 
     #: What each worker serves, and the stem of its process name; the
     #: shard pool (:class:`repro.serving.sharded.ShardPool`) overrides
-    #: both and inherits every queue/lifecycle mechanism below.
+    #: both and inherits every pipe/lifecycle mechanism below.
     _SERVER = ReplicaServer
     _WORKER_NAME = "kdash-replica"
 
@@ -338,11 +353,15 @@ class ReplicaPool:
         self.snapshot = snapshot
         self.timeout = float(timeout)
         ctx = multiprocessing.get_context()
-        self._result_q = ctx.Queue()
-        self._request_qs = [ctx.Queue() for _ in range(n_workers)]
+        self._requests = []  # worker id -> our non-blocking request end
+        self._replies = []  # worker id -> our reply end
         self._workers = []
+        self._inbox: "collections.deque[tuple]" = collections.deque()
+        self._dead: Dict[int, str] = {}  # worker id -> how its pipe closed
         self._closed = False
         for worker_id in range(n_workers):
+            request_out, request_in = ctx.Pipe(duplex=False)
+            reply_out, reply_in = ctx.Pipe(duplex=False)
             process = ctx.Process(
                 target=worker_main,
                 args=(
@@ -350,15 +369,24 @@ class ReplicaPool:
                     worker_id,
                     snapshot.path,
                     snapshot.epoch,
-                    self._request_qs[worker_id],
-                    self._result_q,
+                    request_out,
+                    reply_in,
                     cache_size,
                 ),
                 name=f"{self._WORKER_NAME}-{worker_id}",
                 daemon=True,
             )
             process.start()
+            # Drop the worker's ends before the next fork, so that only
+            # this worker holds them and its death closes its pipes.
+            request_out.close()
+            reply_in.close()
+            os.set_blocking(request_in.fileno(), False)
+            self._requests.append(request_in)
+            self._replies.append(reply_out)
             self._workers.append(process)
+        # The reply ends still open, each with its worker id.
+        self._waiting = {reply: wid for wid, reply in enumerate(self._replies)}
         try:
             for _ in range(n_workers):
                 message = self.recv()
@@ -384,15 +412,31 @@ class ReplicaPool:
         return len(self._workers)
 
     def send(self, worker_id: int, message: tuple) -> None:
-        """Low-level: enqueue one protocol message to one worker."""
+        """Low-level: write one protocol message to one worker.
+
+        A dead worker raises :class:`ServingError`.  A full pipe is
+        waited out by reading replies into the inbox (the worker may be
+        blocked on its own full reply pipe), for at most ``timeout``
+        seconds without progress.
+        """
         if self._closed:
             raise ServingError("pool is closed")
-        self._request_qs[worker_id].put(message)
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        frame = memoryview(_FRAME.pack(len(data)) + data)
+        fd = self._requests[worker_id].fileno()
+        while frame:
+            try:
+                frame = frame[os.write(fd, frame):]
+            except BlockingIOError:
+                self._make_room(worker_id)
+            except BrokenPipeError:
+                self._died(worker_id)
+                raise self._dead_error(worker_id) from None
 
     def _send_batch(
         self, kind: str, worker_id: int, batch_id: int, requests, ctxs
     ) -> None:
-        """Enqueue one micro-batch; ``ctxs`` (one trace context or
+        """Send one micro-batch; ``ctxs`` (one trace context or
         ``None`` per request) extends the envelope only when at least
         one request is traced, so an untraced stream stays
         wire-identical to the untraced protocol."""
@@ -417,20 +461,66 @@ class ReplicaPool:
     def recv(self, timeout: Optional[float] = None) -> tuple:
         """Next worker reply; raises :class:`ServingError` on worker death,
         protocol errors, or timeout."""
-        try:
-            message = self._result_q.get(timeout=timeout or self.timeout)
-        except queue_module.Empty:
-            dead = [p.name for p in self._workers if not p.is_alive()]
-            detail = f"; dead workers: {dead}" if dead else ""
-            raise ServingError(
-                f"no worker reply within {timeout or self.timeout:.0f}s{detail}"
-            ) from None
+        if not self._inbox:
+            self._fill(timeout or self.timeout)
+        message = self._inbox.popleft()
         if message[0] == "error":
             # message[2] is the worker's full traceback (a plain string;
             # see _report_worker_crash) — re-raised here with the worker
             # identity so the gather side sees the original crash site.
             raise ServingError(f"worker {message[1]} failed:\n{message[2]}")
         return message
+
+    def _fill(self, timeout: float) -> None:
+        """Wait for replies and move one from each ready pipe into the
+        inbox; a dead worker raises instead, at once."""
+        if not self._dead:
+            ready = connection.wait(self._waiting, timeout)
+            if not ready:
+                raise ServingError(f"no worker reply within {timeout:.0f}s")
+            for reply in ready:
+                self._read(reply)
+            if self._inbox:
+                return
+        raise self._dead_error(next(iter(self._dead)))
+
+    def _read(self, reply) -> None:
+        """Move one message from a ready reply pipe into the inbox; a
+        closed pipe marks its worker dead."""
+        try:
+            self._inbox.append(reply.recv())
+        except (EOFError, OSError):
+            self._died(self._waiting.pop(reply))
+
+    def _make_room(self, worker_id: int) -> None:
+        """Block until worker ``worker_id``'s request pipe can take more
+        bytes or some reply is ready, reading the ready replies."""
+        replies = {reply.fileno(): reply for reply in self._waiting}
+        poller = select.poll()
+        poller.register(self._requests[worker_id], select.POLLOUT)
+        for reply in replies.values():
+            poller.register(reply, select.POLLIN)
+        events = poller.poll(self.timeout * 1000)
+        if not events:
+            raise ServingError(
+                f"worker {worker_id} read no request within {self.timeout:.0f}s"
+            )
+        for fd, _ in events:
+            if fd in replies:
+                self._read(replies[fd])
+
+    def _died(self, worker_id: int) -> None:
+        """Record that worker ``worker_id``'s pipes closed."""
+        process = self._workers[worker_id]
+        process.join(1.0)  # it is exiting; reap it for the exit code
+        self._dead.setdefault(
+            worker_id,
+            f"process {process.name} died (exit code {process.exitcode}); "
+            "its pipes are closed",
+        )
+
+    def _dead_error(self, worker_id: int) -> ServingError:
+        return ServingError(f"worker {worker_id} failed:\n{self._dead[worker_id]}")
 
     def _collect(self, kind: str) -> list:
         """Send ``(kind,)`` to every worker; their payloads by worker id
@@ -467,37 +557,32 @@ class ReplicaPool:
 
     # ------------------------------------------------------------------
     def close(self) -> List[dict]:
-        """Stop and join every worker; returns their final stats dicts.
+        """Stop and join every worker; returns their final stats dicts,
+        one per worker that was still alive.
 
         Idempotent: a second close returns an empty list.
         """
         if self._closed:
             return []
+        for worker_id in range(self.n_workers):
+            if worker_id not in self._dead:
+                with contextlib.suppress(ServingError):
+                    self.send(worker_id, ("stop",))
         self._closed = True
-        final: List[dict] = []
-        for request_q in self._request_qs:
-            request_q.put(("stop",))
-        # One "stopped" per worker; a worker that crashed earlier will
-        # never reply, so bail once nobody is alive or the deadline hits.
+        # Each live worker answers "stopped" and exits, closing its reply
+        # pipe; late batch results and acks read meanwhile are dropped.
         deadline = time.monotonic() + self.timeout
-        remaining = self.n_workers
-        while remaining and time.monotonic() < deadline:
-            try:
-                message = self._result_q.get(timeout=0.5)
-            except queue_module.Empty:
-                if not any(p.is_alive() for p in self._workers):
-                    break
-                continue
-            if message[0] == "stopped":
-                final.append(message[2])
-                remaining -= 1
-            # Late batch results / acks during shutdown are dropped.
+        while self._waiting and time.monotonic() < deadline:
+            for reply in connection.wait(self._waiting, deadline - time.monotonic()):
+                self._read(reply)
         for process in self._workers:
             process.join(timeout=5.0)
             if process.is_alive():  # pragma: no cover - defensive
                 process.terminate()
                 process.join(timeout=5.0)
-        return final
+        for end in self._requests + self._replies:
+            end.close()
+        return [message[2] for message in self._inbox if message[0] == "stopped"]
 
     def __enter__(self) -> "ReplicaPool":
         return self

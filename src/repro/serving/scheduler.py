@@ -1,7 +1,7 @@
 """Micro-batched request scheduling over a worker pool.
 
 The scan behind one top-k query costs ~100µs on a warm index, which is
-the same order as one queue round-trip — dispatching queries one at a
+the same order as one pipe round-trip — dispatching queries one at a
 time would spend the cluster on IPC.  The scheduler therefore forms
 **micro-batches**: requests are routed to a worker as they arrive
 (round-robin or consistent-hash, see :mod:`repro.serving.router`) and

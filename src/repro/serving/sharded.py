@@ -181,7 +181,7 @@ class ShardPool(ReplicaPool):
     timeout:
         As for :class:`~repro.serving.replica.ReplicaPool`.
 
-    Construction, queues, error surfacing, the swap broadcast and the
+    Construction, pipes, error surfacing, the swap broadcast and the
     shutdown barrier are the replica pool's; only the worker's server
     and the manifest-derived metadata differ.
     """

@@ -4,7 +4,7 @@ The happy-path suites prove the pool is *exact*; this one proves it is
 *debuggable*.  Every defended error path gets exercised:
 
 - a worker process that dies mid-batch ships its **full traceback** as
-  a string through the result queue, and the scheduler re-raises it as
+  a string through its reply pipe, and the scheduler re-raises it as
   a :class:`~repro.exceptions.ServingError` naming the worker — the
   crash site is in the message, not swallowed into an opaque timeout;
 - protocol confusion (unexpected reply kinds while awaiting results,
