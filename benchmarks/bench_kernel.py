@@ -27,6 +27,15 @@ kernel loop rather than per-call setup.  Six workloads per query:
   (``scan_shard``) of the query's home shard, on a 2-shard Louvain
   split of the same graph.
 
+One more workload times the build rather than a scan:
+
+- ``inverse`` — ``triangular_inverses`` on the graph's LU factors (the
+  level kernel, min of ``TRIALS``, reported as ``numpy``) against the
+  reach kernel it must match bit for bit (the oracle, reported as
+  ``python``).  The oracle takes about 4 s here, so its one run, which
+  also supplies the reference the kernel is checked against, is its
+  time.  The headline speedups stay over the six scan workloads.
+
 Regression gate
 ---------------
 ``--check BENCH_kernel.json`` re-runs the bench and fails (exit 1) when
@@ -56,8 +65,11 @@ import numpy as np
 
 from repro.core import KDash, ShardedIndex
 from repro.core.sharded import canonical_heap, heap_items, scan_shard
-from repro.graph import scale_free_digraph
+from repro.graph import column_normalized_adjacency, rwr_system_matrix, scale_free_digraph
+from repro.lu import triangular_inverses
 from repro.query.backends import available_backends, get_backend
+from repro.sparse import CSCMatrix
+from repro.sparse.triangular import sparse_lower_inverse, sparse_upper_inverse
 
 # The bench_batch_throughput smoke graph, restated (importing the
 # sibling module would depend on the invocation directory).
@@ -188,6 +200,38 @@ def time_shard_home(sharded, query, backends) -> Dict[str, float]:
     return best
 
 
+def _same_bits(got, want) -> bool:
+    return (
+        np.array_equal(got.indptr, want.indptr)
+        and np.array_equal(got.indices, want.indices)
+        and np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+    )
+
+
+def time_inverse(graph, index) -> Dict[str, float]:
+    """Microseconds to invert the LU factors ``index`` was built from:
+    the level kernel's best of TRIALS (``numpy``) and the reach oracle's
+    one run (``python``), after asserting the two bit-identical."""
+    permuted = index._perm.permute_matrix(column_normalized_adjacency(graph))
+    ell, u, _ = index._factorise(rwr_system_matrix(permuted, C))
+    t0 = time.perf_counter()
+    l_want = sparse_lower_inverse(CSCMatrix.from_scipy(ell), unit_diagonal=True)
+    u_want = sparse_upper_inverse(CSCMatrix.from_scipy(u))
+    oracle = time.perf_counter() - t0
+    l_inv, u_inv = triangular_inverses(ell, u)
+    if not (_same_bits(l_inv, l_want) and _same_bits(u_inv.to_csc(), u_want)):
+        raise SystemExit(
+            "triangular_inverses diverged from the reach oracle — refusing "
+            "to report its time"
+        )
+    best = float("inf")
+    for _ in range(TRIALS):
+        t0 = time.perf_counter()
+        triangular_inverses(ell, u)
+        best = min(best, time.perf_counter() - t0)
+    return {"numpy": best * 1e6, "python": oracle * 1e6}
+
+
 def geomean(values: List[float]) -> float:
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
@@ -252,6 +296,17 @@ def run_bench(quick: bool = False) -> dict:
         }
         for name, per in speedups.items()
     }
+    inverse = time_inverse(graph, index)
+    results.append(
+        {
+            "workload": "inverse",
+            "query": None,
+            "latency_us": {name: round(v, 1) for name, v in inverse.items()},
+        }
+    )
+    workload_speedups["numpy"]["inverse"] = round(
+        inverse["python"] / inverse["numpy"], 2
+    )
     return {
         "bench": "kernel",
         "graph": {
@@ -285,9 +340,9 @@ def print_report(report: dict) -> None:
         lat = row["latency_us"]
         parts = "  ".join(f"{n} {v:9.1f}us" for n, v in lat.items())
         ratio = lat["python"] / lat["numpy"]
+        query = "" if row["query"] is None else f"q={row['query']}"
         print(
-            f"  {row['workload']:11s} q={row['query']:<5d} {parts}  "
-            f"numpy {ratio:4.2f}x"
+            f"  {row['workload']:11s} {query:7s} {parts}  numpy {ratio:4.2f}x"
         )
     for name, agg in report["headline"].items():
         print(

@@ -313,12 +313,20 @@ class DynamicKDash:
 
         Swaps a freshly built index (and its
         :class:`~repro.query.prepared.PreparedIndex`) in behind this
-        handle; pending correction state is discarded.  Answers are
+        handle; pending correction state is discarded.  The new index keeps
+        the current one's LU and kernel backends.  Answers are
         unchanged — only the fast pruned path is restored — so
         :attr:`update_serial` is not bumped and serving caches stay valid.
         """
+        base = self._base
         self._adopt(
-            KDash(self.graph.copy(), c=self.c, reordering=self._reordering).build()
+            KDash(
+                self.graph.copy(),
+                c=self.c,
+                reordering=self._reordering,
+                lu_backend=base.lu_backend,
+                kernel_backend=base.kernel_backend,
+            ).build()
         )
         self._reset_correction_state()
         self.n_rebuilds += 1

@@ -236,17 +236,25 @@ def read_format_version(path: str) -> int:
 
     Lets callers (e.g. the CLI) dispatch between :func:`load_index`
     (v1/v2) and :func:`load_sharded_index` (v3) on any saved artefact.
+    Nothing is unpickled: a ``format_version`` member that holds a
+    pickled object, or anything but an integer scalar, raises
+    :class:`~repro.exceptions.SerializationError`.
     """
-    import pickle
     import zipfile
 
     try:
-        with np.load(path, allow_pickle=True) as archive:
-            return int(archive["format_version"])
-    except (OSError, ValueError, KeyError, EOFError, pickle.UnpicklingError, zipfile.BadZipFile) as exc:
+        with np.load(path, allow_pickle=False) as archive:
+            version = archive["format_version"]
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         raise SerializationError(
             f"cannot read a format version from {path!r}: {exc}"
         ) from exc
+    if version.shape != () or version.dtype.kind not in "iu":
+        raise SerializationError(
+            f"cannot read a format version from {path!r}: expected an "
+            f"integer scalar, got a {version.dtype} array of shape {version.shape}"
+        )
+    return int(version)
 
 
 def _shard_filename(manifest_path: str, shard_id: int) -> str:

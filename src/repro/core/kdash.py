@@ -91,8 +91,6 @@ class KDash:
     lu_backend:
         ``"auto"`` (SuperLU with pure-Python fallback), ``"scipy"``, or
         ``"crout"`` (the from-scratch Equations 6–7 kernel).
-    inverse_backend:
-        Forwarded to :func:`repro.lu.inverse.triangular_inverses`.
     reordering_seed:
         Seed for the stochastic reorderings (Louvain sweeps / random).
     kernel_backend:
@@ -116,7 +114,6 @@ class KDash:
         c: float = 0.95,
         reordering="hybrid",
         lu_backend: str = "auto",
-        inverse_backend: str = "auto",
         reordering_seed: int = 0,
         kernel_backend: Optional[str] = None,
     ) -> None:
@@ -137,9 +134,6 @@ class KDash:
                 kwargs["seed"] = reordering_seed
             self._strategy = get_reordering(reordering, **kwargs)
         self.lu_backend = check_choice(lu_backend, ("auto", "scipy", "crout"), "lu_backend")
-        self.inverse_backend = check_choice(
-            inverse_backend, ("auto", "scipy", "reach"), "inverse_backend"
-        )
         self._built = False
         self.build_report: Optional[BuildReport] = None
 
@@ -163,9 +157,7 @@ class KDash:
         lu_seconds = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        self._l_inv, self._u_inv = triangular_inverses(
-            ell, u, backend=self.inverse_backend
-        )
+        self._l_inv, self._u_inv = triangular_inverses(ell, u)
         inverse_seconds = time.perf_counter() - t0
 
         # Estimator inputs live in *original* node order.

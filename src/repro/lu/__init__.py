@@ -13,8 +13,9 @@ Two interchangeable factorisation backends are provided:
   both backends produce *identical* factors (a test invariant).
 
 :mod:`repro.lu.inverse` turns the factors into the adjacency-list-style
-inverses (Equations 4–5), and :mod:`repro.lu.fillin` does the nonzero
-accounting behind Figure 5.
+inverses (Equations 4–5), one dependency level of rows at a time and bit
+for bit equal to the reach kernel of :mod:`repro.sparse.triangular`, and
+:mod:`repro.lu.fillin` does the nonzero accounting behind Figure 5.
 """
 
 from .crout import crout_lu

@@ -2,16 +2,30 @@
 
 The K-dash index stores ``L^-1`` in CSC (query time slices *column* ``q``)
 and ``U^-1`` in CSR (each proximity evaluation dots *row* ``u`` against a
-dense workspace).  Two equivalent computation paths are provided:
+dense workspace).
 
-- ``backend="reach"`` — the from-scratch reach-based substitution of
-  :mod:`repro.sparse.triangular`, work proportional to the output size;
-- ``backend="scipy"`` — SuperLU triangular solves against a sparse
-  identity (C speed, same result).
+Both come from one kernel that computes Equation 4 a row at a time: row
+``i`` of the inverse of a lower-triangular ``T`` is
 
-``backend="auto"`` (default) picks scipy for matrices above a small size
-threshold and the pure-Python kernel below it, where Python overhead is
-negligible and the dependency surface smaller.
+    ``(e_i - Σ_{k<i} T_ik · row_k) / T_ii``,
+
+so it needs only the rows ``k`` with ``T_ik ≠ 0``.  Rows are grouped by
+dependency level, ``level(i) = 1 + max level(k)`` over those ``k`` (0 when
+there are none), and each level is one scipy ``csr_matmat`` of its rows
+of ``T`` against the rows already computed.  The work follows the
+inverse's nonzeros, and no dense ``n × n`` or per-level ``rows × n``
+buffer is allocated.  ``U^-1`` is the transpose of the same computation
+on ``U^T`` (Equation 5).
+
+The result is bit-identical to the reach kernel
+(:func:`repro.sparse.triangular.sparse_lower_inverse`), which stays the
+tests' oracle.  ``csr_matmat`` adds each entry's products in the order of
+the row's stored entries, ascending ``k``, starting from +0.0; the reach
+kernel subtracts the same products in the same order from 0.0.  Since
+``fl(-a - b) = -fl(a + b)``, the negated sum is the reach kernel's value
+bit for bit (the argument :mod:`repro.query.backends.base` makes for
+``csr_matvec``).  The division by ``T_ii`` comes next in both, and exact
+zeros are dropped after it.
 """
 
 from __future__ import annotations
@@ -20,109 +34,165 @@ from typing import Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools as _st
 
-from ..exceptions import DecompositionError, InvalidParameterError
+from ..exceptions import DecompositionError, InvalidParameterError, SparseMatrixError
 from ..sparse import CSCMatrix, CSRMatrix
-from ..sparse.triangular import sparse_lower_inverse
-from ..validation import check_choice
-
-_AUTO_THRESHOLD = 400  # columns; below this the pure-Python path is fine
 
 
 def triangular_inverses(
-    ell: sp.csc_matrix,
-    u: sp.csc_matrix,
-    backend: str = "auto",
+    ell: sp.spmatrix, u: sp.spmatrix
 ) -> Tuple[CSCMatrix, CSRMatrix]:
     """Invert the LU factors, keeping the inverses sparse.
 
     Parameters
     ----------
     ell:
-        Unit lower triangular CSC factor ``L`` (diagonal stored or not).
+        Unit lower triangular factor ``L`` (diagonal stored or not; a
+        stored diagonal is ignored).
     u:
-        Upper triangular CSC factor ``U`` with nonzero diagonal.
-    backend:
-        ``"reach"``, ``"scipy"`` or ``"auto"``.
+        Upper triangular factor ``U`` with nonzero diagonal.
 
     Returns
     -------
     (l_inv, u_inv):
         ``L^-1`` as :class:`~repro.sparse.csc.CSCMatrix` and ``U^-1`` as
-        :class:`~repro.sparse.csr.CSRMatrix`, exact zeros dropped.
+        :class:`~repro.sparse.csr.CSRMatrix`, exact zeros dropped and
+        indices sorted.
+
+    Raises
+    ------
+    SparseMatrixError
+        If ``L`` has an entry above or ``U`` one below the diagonal.
+    DecompositionError
+        If a diagonal entry of ``U`` is zero or missing.
     """
-    backend = check_choice(backend, ("reach", "scipy", "auto"), "backend")
     n = ell.shape[0]
     if ell.shape != (n, n) or u.shape != (n, n):
         raise InvalidParameterError(
             f"factor shapes disagree: L {ell.shape}, U {u.shape}"
         )
-    if backend == "auto":
-        backend = "scipy" if n > _AUTO_THRESHOLD else "reach"
-    if backend == "reach":
-        l_inv = sparse_lower_inverse(CSCMatrix.from_scipy(ell), unit_diagonal=True)
-        # U^-1 = (lower_inverse(U^T))^T; reuse the lower kernel.
-        ut = CSCMatrix.from_scipy(sp.csc_matrix(u.T))
-        u_inv_t = sparse_lower_inverse(ut, unit_diagonal=False)
-        u_inv = CSRMatrix(
-            (n, n), u_inv_t.indptr, u_inv_t.indices, u_inv_t.data
-        )  # CSC of the transpose *is* CSR of the matrix
-        return l_inv, u_inv
-    return _scipy_inverses(ell, u)
+    l_inv = CSCMatrix((n, n), *_lower_inverse(ell, "L", unit_diagonal=True))
+    # The CSC triple of (U^T)^-1 is the CSR triple of U^-1.
+    u_inv = CSRMatrix((n, n), *_lower_inverse(u.T, "U", unit_diagonal=False))
+    return l_inv, u_inv
 
 
-def _scipy_inverses(
-    ell: sp.csc_matrix, u: sp.csc_matrix
-) -> Tuple[CSCMatrix, CSRMatrix]:
-    """SuperLU path: ``X = solve(T, I)`` column block by column block."""
-    import scipy.sparse.linalg as spla
+def _lower_inverse(
+    t: sp.spmatrix, name: str, unit_diagonal: bool
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC triple of ``T^-1``, rows sorted, for a lower-triangular ``T``."""
+    t = sp.csr_matrix(t, dtype=np.float64, copy=True)
+    t.sum_duplicates()  # also sorts each row's entries into ascending k
+    n = t.shape[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(t.indptr))
+    cols = t.indices.astype(np.int64)
+    if np.any(cols > rows):
+        raise SparseMatrixError(f"{name} is not triangular")
+    on_diag = cols == rows
+    diag = np.ones(n)
+    if not unit_diagonal:
+        present = np.zeros(n, dtype=bool)
+        present[rows[on_diag]] = True
+        diag[rows[on_diag]] = t.data[on_diag]
+        if not present.all():
+            j = int(np.argmin(present))
+            raise DecompositionError(f"missing diagonal at column {j} of {name}")
+        if not diag.all():
+            j = int(np.argmin(diag != 0.0))
+            raise DecompositionError(f"zero diagonal at column {j} of {name}")
+    strict = ~on_diag
+    deps = np.bincount(rows[strict], minlength=n)
+    s_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deps, out=s_ptr[1:])
+    s_idx, s_dat = cols[strict], t.data[strict]
 
-    n = ell.shape[0]
-    eye = sp.identity(n, format="csc")
-    with _suppress_efficiency_warnings():
-        l_inv = spla.spsolve(sp.csc_matrix(ell), eye)
-        u_inv = spla.spsolve(sp.csc_matrix(u), eye)
-    l_inv = sp.csc_matrix(l_inv)
-    u_inv = sp.csr_matrix(u_inv)
-    l_inv.eliminate_zeros()
-    u_inv.eliminate_zeros()
-    l_inv.sort_indices()
-    u_inv.sort_indices()
-    _check_triangular(l_inv, lower=True)
-    _check_triangular(u_inv.tocsc(), lower=False)
-    return CSCMatrix.from_scipy(l_inv), CSRMatrix.from_scipy(u_inv)
+    level = np.zeros(n, dtype=np.int64)
+    for i in np.flatnonzero(deps).tolist():
+        level[i] = level[s_idx[s_ptr[i] : s_ptr[i + 1]]].max() + 1
+    order = np.argsort(level, kind="stable")  # the rows, level by level
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    n_levels = int(level.max()) + 1 if n else 0
+    bounds = np.searchsorted(level[order], np.arange(n_levels + 1)).tolist()
 
+    # Each level is one product C = A · B with A = [-I | T_strict] and
+    # B = [I; X], so that C_i = Σ_k T_ik · row_k - e_i and row i of
+    # X = T^-1 is -C_i / T_ii.  B's first n rows are the unit rows, then
+    # come the rows of X in level order; A's rows are in level order too,
+    # each its unit entry, then its strict entries in ascending k.
+    a_idx = np.insert(n + pos[s_idx], s_ptr[:-1], np.arange(n))
+    a_dat = np.insert(s_dat, s_ptr[:-1], -1.0)
+    a_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deps[order] + 1, out=a_ptr[1:])
+    a_idx, a_dat = _gather_rows(
+        order, s_ptr + np.arange(n + 1), a_idx, a_dat, nnz=int(a_ptr[-1])
+    )
 
-def _check_triangular(mat: sp.csc_matrix, lower: bool) -> None:
-    """Sanity check: the inverse of a triangular matrix is triangular."""
-    coo = mat.tocoo()
-    if lower:
-        bad = np.any(coo.row < coo.col)
-    else:
-        bad = np.any(coo.row > coo.col)
-    if bad:
-        raise DecompositionError(
-            "triangular inverse has entries on the wrong side of the "
-            "diagonal; the input factor was not triangular"
+    b_ptr = np.zeros(2 * n + 1, dtype=np.int64)
+    b_ptr[: n + 1] = np.arange(n + 1)
+    b_len = np.ones(2 * n, dtype=np.int64)  # stored entries per row of B
+    capacity = 2 * n + len(s_idx)
+    b_idx = np.empty(capacity, dtype=np.int64)
+    b_dat = np.empty(capacity)
+    b_idx[:n] = np.arange(n)
+    b_dat[:n] = 1.0
+    used = n
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        level_rows = order[lo:hi]
+        ap = a_ptr[lo : hi + 1]
+        # csr_matmat writes C without bounds checks, so reserve a true
+        # bound: row i of C has at most as many entries as the products
+        # that feed it, and at most i + 1 (X is lower triangular).
+        feeds = np.add.reduceat(b_len[a_idx[ap[0] : ap[-1]]], ap[:-1] - ap[0])
+        bound = int(np.minimum(feeds, level_rows + 1).sum())
+        if used + bound > capacity:
+            capacity = max(used + bound, 2 * capacity)
+            b_idx = _grow(b_idx, used, capacity)
+            b_dat = _grow(b_dat, used, capacity)
+        cp = np.empty(hi - lo + 1, dtype=np.int64)
+        _st.csr_matmat(
+            hi - lo, n, ap, a_idx, a_dat, b_ptr, b_idx, b_dat,
+            cp, b_idx[used : used + bound], b_dat[used : used + bound],
         )
+        counts = np.diff(cp)
+        vals = b_dat[used : used + cp[-1]]
+        np.divide(vals, np.repeat(-diag[level_rows], counts), out=vals)
+        if not vals.all():  # a quotient underflowed to zero
+            keep = vals != 0.0
+            counts = np.add.reduceat(keep, cp[:-1], dtype=np.int64)
+            kept = int(counts.sum())
+            b_idx[used : used + kept] = b_idx[used : used + cp[-1]][keep]
+            b_dat[used : used + kept] = vals[keep]
+        b_len[n + lo : n + hi] = counts
+        b_ptr[n + lo + 1 : n + hi + 1] = used + np.cumsum(counts)
+        used = int(b_ptr[n + hi])
+
+    # Rows back in natural order, then transposed: csr_tocsc emits each
+    # column's rows in ascending order.
+    x_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(b_len[n:][pos], out=x_ptr[1:])
+    x_idx, x_dat = _gather_rows(pos, b_ptr[n:], b_idx, b_dat, nnz=int(x_ptr[-1]))
+    del b_idx, b_dat
+    out = (
+        np.empty(n + 1, dtype=np.int64),
+        np.empty(len(x_idx), dtype=np.int64),
+        np.empty(len(x_idx)),
+    )
+    _st.csr_tocsc(n, n, x_ptr, x_idx, x_dat, *out)
+    return out
 
 
-class _suppress_efficiency_warnings:
-    """Context manager silencing scipy's SparseEfficiencyWarning.
+def _gather_rows(rows, ptr, idx, dat, nnz: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``nnz`` entries of CSR rows ``rows``, concatenated in that order."""
+    out_idx = np.empty(nnz, dtype=np.int64)
+    out_dat = np.empty(nnz)
+    _st.csr_row_index(len(rows), rows, ptr, idx, dat, out_idx, out_dat)
+    return out_idx, out_dat
 
-    ``spsolve`` warns when solving against a sparse identity even though
-    that is exactly the intended (output-sparse) use here.
-    """
 
-    def __enter__(self):
-        import warnings
-
-        from scipy.sparse import SparseEfficiencyWarning
-
-        self._ctx = warnings.catch_warnings()
-        self._ctx.__enter__()
-        warnings.simplefilter("ignore", SparseEfficiencyWarning)
-        return self
-
-    def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
+def _grow(arr: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """A copy of ``arr[:used]`` with room for ``capacity`` entries."""
+    out = np.empty(capacity, dtype=arr.dtype)
+    out[:used] = arr[:used]
+    return out

@@ -16,6 +16,10 @@ achievable.
 
 Upper-triangular inversion reuses the same kernel through transposition:
 ``U^-1 = (lower_inverse(U^T))^T``.
+
+The index is built by the level kernel of :mod:`repro.lu.inverse`, which
+computes the same inverses row by row; these column kernels are its
+oracle, and the tests hold the two equal bit for bit.
 """
 
 from __future__ import annotations

@@ -100,9 +100,7 @@ class TestCrossMethodAgreement:
 class TestCroutEndToEnd:
     def test_pure_python_backend_full_pipeline(self):
         graph = load_dataset("Internet", 0.05).graph
-        index = KDash(
-            graph, lu_backend="crout", inverse_backend="reach"
-        ).build()
+        index = KDash(graph, lu_backend="crout").build()
         assert index.build_report.lu_backend_used == "crout"
         adjacency = column_normalized_adjacency(graph)
         exact = direct_solve_rwr(adjacency, 0, 0.95)

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.graph import column_normalized_adjacency, erdos_renyi_graph, rwr_system_matrix
 from repro.lu import crout_lu, superlu_lu, triangular_inverses
 from repro.ordering import RandomReordering
+from repro.sparse import CSCMatrix
+from repro.sparse.triangular import sparse_lower_inverse, sparse_upper_inverse
 
 
 @st.composite
@@ -51,12 +53,29 @@ class TestFactorisationProperties:
         assert np.all(np.diag(u.toarray()) > 0)
 
 
+def assert_same_bits(got, want):
+    """Equal ``indptr``, ``indices`` and ``data``, bit for bit."""
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
 class TestInverseProperties:
+    @given(rwr_systems(), st.sampled_from([crout_lu, superlu_lu]))
+    def test_bit_identical_to_reach_oracle(self, system, factorise):
+        w, _ = system
+        ell, u = factorise(w)
+        l_inv, u_inv = triangular_inverses(ell, u)
+        assert_same_bits(
+            l_inv, sparse_lower_inverse(CSCMatrix.from_scipy(ell), unit_diagonal=True)
+        )
+        assert_same_bits(u_inv.to_csc(), sparse_upper_inverse(CSCMatrix.from_scipy(u)))
+
     @given(rwr_systems())
     def test_inverse_product_solves_rwr(self, system):
         w, _ = system
         ell, u = crout_lu(w)
-        l_inv, u_inv = triangular_inverses(ell, u, backend="reach")
+        l_inv, u_inv = triangular_inverses(ell, u)
         w_inv = u_inv.to_dense() @ l_inv.to_dense()
         assert np.allclose(w_inv @ w.toarray(), np.eye(w.shape[0]), atol=1e-8)
 

@@ -6,6 +6,7 @@ import pytest
 from repro import DynamicKDash, KDash
 from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph import column_normalized_adjacency, erdos_renyi_graph
+from repro.query.backends import available_backends, resolve_backend_name
 from repro.rwr import direct_solve_rwr
 
 
@@ -104,6 +105,19 @@ class TestRebuild:
     def test_threshold_validation(self, er_graph):
         with pytest.raises(InvalidParameterError):
             DynamicKDash(er_graph, rebuild_threshold=0)
+
+    def test_rebuild_keeps_the_adopted_backends(self, er_graph):
+        # The kernel backend that $REPRO_KERNEL_BACKEND does not select, so
+        # a rebuild that fell back to the default would show.
+        other = next(b for b in available_backends() if b != resolve_backend_name())
+        index = KDash(er_graph, c=0.9, lu_backend="crout", kernel_backend=other)
+        dyn = DynamicKDash.from_index(index.build(), rebuild_threshold=None)
+        dyn.add_edge(0, 42, 3.0)
+        dyn.rebuild()
+        rebuilt = dyn.base_index
+        assert rebuilt is not index
+        assert rebuilt.kernel_backend == rebuilt.prepared.backend == other
+        assert rebuilt.lu_backend == rebuilt.build_report.lu_backend_used == "crout"
 
     def test_wrapper_does_not_mutate_input(self, er_graph):
         m_before = er_graph.n_edges

@@ -42,6 +42,21 @@ def _save_v1(index: KDash, path: str) -> None:
     )
 
 
+_UNPICKLED = []
+
+
+def _tripwire(value):
+    _UNPICKLED.append(value)
+    return value
+
+
+class _Pickled:
+    """An object whose unpickling calls :func:`_tripwire`."""
+
+    def __reduce__(self):
+        return (_tripwire, (2,))
+
+
 class TestSaveLoad:
     def test_round_trip_queries_identical(self, tmp_path, er_graph):
         index = KDash(er_graph, c=0.9).build()
@@ -319,6 +334,29 @@ class TestShardedFormatV3:
         assert read_format_version(plain) == 2
         with pytest.raises(SerializationError):
             read_format_version(str(tmp_path / "nope.npz"))
+
+    def test_read_format_version_unpickles_nothing(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.core import read_format_version
+
+        version = np.empty((), dtype=object)
+        version[()] = _Pickled()
+        path = str(tmp_path / "hostile.npz")
+        np.savez(path, format_version=version)
+        with pytest.raises(SerializationError, match="allow_pickle"):
+            read_format_version(path)
+        assert main(["query", "--index", path, "--node", "0"]) == 2
+        assert "error: cannot read a format version" in capsys.readouterr().out
+        assert _UNPICKLED == []
+
+    def test_read_format_version_needs_an_integer_scalar(self, tmp_path):
+        from repro.core import read_format_version
+
+        for name, value in (("pair", np.array([2, 3])), ("real", np.float64(2))):
+            path = str(tmp_path / f"{name}.npz")
+            np.savez(path, format_version=value)
+            with pytest.raises(SerializationError, match="integer scalar"):
+                read_format_version(path)
 
     def test_saving_partial_sharded_index_rejected(self, saved, tmp_path):
         from repro.core import load_sharded_index, save_sharded_index

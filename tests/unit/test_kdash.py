@@ -49,8 +49,6 @@ class TestBuild:
     def test_invalid_backends(self, er_graph):
         with pytest.raises(InvalidParameterError):
             KDash(er_graph, lu_backend="gpu")
-        with pytest.raises(InvalidParameterError):
-            KDash(er_graph, inverse_backend="gpu")
 
     @pytest.mark.parametrize("reordering", ["degree", "cluster", "hybrid", "random", "identity"])
     def test_all_reorderings_exact(self, er_graph, reordering):
