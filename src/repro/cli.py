@@ -8,7 +8,7 @@ Commands
 ``build``
     Build a K-dash index for a dataset (or an edge-list file) and save
     it to disk — as a single archive, or, with ``--shards N
-    --partitioner {louvain,range}``, as a format-v3 sharded manifest
+    --partitioner {louvain,range}``, as a format-v5 sharded manifest
     plus one payload file per shard.
 ``query``
     Load a saved index and run a top-k query — one node (``--node``) or
@@ -97,6 +97,7 @@ from typing import List, Optional
 
 from .core import KDash, load_index, save_index
 from .datasets import DATASET_NAMES, load_dataset
+from .exceptions import SerializationError
 from .graph import graph_statistics, read_edge_list
 from .query.backends import (
     DEFAULT_BACKEND,
@@ -178,40 +179,29 @@ def _parse_batch(spec: str):
     return queries or None
 
 
-def _peek_version(path: str):
-    """``(format_version, None)`` or ``(None, error message)``."""
-    from .core import read_format_version
-    from .exceptions import SerializationError
+def _is_sharded_archive(path: str) -> bool:
+    """Whether ``path`` is a sharded manifest; an unreadable archive
+    raises :class:`~repro.exceptions.SerializationError`."""
+    from .core.index_io import is_sharded_version, read_format_version
 
-    try:
-        return read_format_version(path), None
-    except SerializationError as exc:
-        return None, str(exc)
+    return is_sharded_version(read_format_version(path))
 
 
 def _reject_sharded_index(path: str, command: str) -> Optional[int]:
-    """Exit-code 2 with a remedy when ``path`` is a v3 manifest (or
-    unreadable); ``None`` when the command can proceed on a v1/v2 archive."""
-    version, error = _peek_version(path)
-    if error is not None:
-        print(f"error: {error}")
-        return 2
-    if version == 3:
+    """Exit-code 2 with a remedy when ``path`` is a sharded manifest;
+    ``None`` when the command can proceed on a single-index archive."""
+    if _is_sharded_archive(path):
         print(
-            f"error: {path} is a sharded (format-v3) manifest; '{command}' "
-            "needs a single-index archive — build one without --shards, "
-            "then re-shard at serve time with --sharded --shards N"
+            f"error: {path} is a sharded (format-v3 or format-v5) manifest; "
+            f"'{command}' needs a single-index archive — build one without "
+            "--shards, then re-shard at serve time with --sharded --shards N"
         )
         return 2
     return None
 
 
 def _cmd_query(args) -> int:
-    version, error = _peek_version(args.index)
-    if error is not None:
-        print(f"error: {error}")
-        return 2
-    if version == 3:
+    if _is_sharded_archive(args.index):
         return _run_sharded_query(args)
     index = load_index(args.index)
     if args.batch is not None:
@@ -246,7 +236,7 @@ def _cmd_query(args) -> int:
 
 
 def _run_sharded_query(args) -> int:
-    """``query`` against a format-v3 manifest: plan over the shards."""
+    """``query`` against a sharded manifest: plan over the shards."""
     from .core import load_sharded_index
     from .query import ScatterGatherPlanner
 
@@ -1364,7 +1354,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="split the built index into this many shards and save a "
-        "format-v3 manifest (0 = single v2 archive)",
+        "format-v5 manifest (0 = single v4 archive)",
     )
     p_build.add_argument(
         "--partitioner",
@@ -1651,7 +1641,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     if error is not None:
         print(f"error: {error}")
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SerializationError as exc:  # an unreadable or unwritable archive
+        print(f"error: {exc}")
+        return 2
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@
 - :class:`~repro.core.sharded.ShardedIndex` — the index split into
   bound-prunable shards (Louvain or range partitions) for the
   scatter-gather tier;
-- :mod:`repro.core.index_io` — index persistence (v1/v2 single-index
-  archives, v3 sharded manifests).
+- :mod:`repro.core.index_io` — index persistence (v1/v2/v4 single-index
+  archives, v3/v5 sharded manifests).
 
 All query modes execute on the single
 :func:`~repro.query.kernel.pruned_scan` kernel in :mod:`repro.query`,

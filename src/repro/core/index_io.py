@@ -9,18 +9,24 @@ proximities efficiently").
 Format: a single ``.npz`` archive holding the permutation, both sparse
 inverses (CSC/CSR triples), the estimator arrays, the restart
 probability, and the graph's weighted edge list (needed to rebuild the
-BFS schedule at query time).
+BFS schedule at query time).  The writers use ``np.savez``: a zip of
+*stored* (uncompressed) ``.npy`` members.  Zip still checks each
+member's CRC-32 as it is read, and any failure reading a member (a bad
+CRC, a truncated or missing member, a malformed header) raises
+:class:`~repro.exceptions.SerializationError` naming the file and the
+member.
 
-Three format versions exist:
+Five format versions exist; the writers emit v4 and v5, the loaders
+read all five:
 
 - **v1** stored only the factor state; loading re-derived every
   query-invariant cache (successor lists, per-query proximity mass, the
   :class:`~repro.query.prepared.PreparedIndex` mirrors).
-- **v2** (current single-index format) additionally persists the
-  ``PreparedIndex`` query-invariant caches — the flattened successor
-  lists and the exact per-query proximity mass ``S(q)`` — so a loading
-  process (e.g. a replica-pool worker adopting a published snapshot)
-  skips the re-preparation work entirely.
+- **v2** additionally persists the ``PreparedIndex`` query-invariant
+  caches — the flattened successor lists and the exact per-query
+  proximity mass ``S(q)`` — so a loading process (e.g. a replica-pool
+  worker adopting a published snapshot) skips the re-preparation work
+  entirely.
 - **v3** (sharded) is a **manifest plus one payload file per shard**,
   written by :func:`save_sharded_index`.  The manifest
   (``<stem>.npz``) holds the shard-invariant state every participant
@@ -38,41 +44,181 @@ Three format versions exist:
   referencing a shard file that is missing (or unreadable) raises a
   clear :class:`~repro.exceptions.SerializationError` naming both
   files.
+- **v4** (current single-index format, :func:`save_index`) has the v2
+  members, names and numeric dtypes, stored instead of deflated, with
+  ``labels`` as fixed-width unicode (empty when the graph is
+  unlabelled).
+- **v5** (current sharded format, :func:`save_sharded_index`) is v3
+  the same way: stored members, with ``labels`` and ``shard_files`` as
+  fixed-width unicode.
 
-v1 archives load transparently (their caches are rebuilt on load);
-archives from *future* versions are rejected with a clear
+No v4/v5 member has object dtype, so both load with
+``allow_pickle=False``, and an object member in one is refused with a
+``SerializationError`` before anything is unpickled.  v1–v3 were
+written deflated, with their ``labels`` (and a v3 manifest's
+``shard_files``) as pickled object arrays: those members are the only
+pickle any loader still reads, and no serving pool accepts a v1–v3
+snapshot.
+
+Whether a version is sharded (v3, v5) or a single index (v1, v2, v4)
+is decided here, by :func:`is_sharded_version`.  v1 archives load
+transparently (their caches are rebuilt on load); archives from
+*future* versions are rejected with a clear
 :class:`~repro.exceptions.SerializationError` instead of a numpy
-``KeyError`` deep in the arrays, and v3 manifests fed to
-:func:`load_index` (or v1/v2 archives fed to
+``KeyError`` deep in the arrays, and sharded manifests fed to
+:func:`load_index` (or single-index archives fed to
 :func:`load_sharded_index`) are redirected with an explicit message
 rather than a shape error.
+
+:func:`load_index` rebuilds the graph in bulk
+(:meth:`~repro.graph.digraph.DiGraph.from_edge_arrays`): the edge
+arrays are validated whole, then the adjacency is filled in archive
+order, so the loaded graph iterates its edges, successors and
+predecessors exactly as the per-edge ``add_edge`` restore did.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+import pickle
+import zipfile
+import zlib
+from typing import Iterable, List, Optional
 
 import numpy as np
 
-from ..exceptions import IndexNotBuiltError, SerializationError
+from ..exceptions import GraphError, IndexNotBuiltError, SerializationError
 from ..graph.digraph import DiGraph
 from ..ordering.permutation import Permutation
 from ..sparse import CSCMatrix, CSRMatrix
 from .kdash import KDash
 from .sharded import ShardIndex, ShardSummary, ShardedIndex
 
-_FORMAT_VERSION = 2
+#: The versions :func:`save_index` and :func:`save_sharded_index` write.
+_FORMAT_VERSION = 4
+_SHARDED_FORMAT_VERSION = 5
 
-#: Single-index versions :func:`load_index` knows how to read.
-_READABLE_VERSIONS = (1, 2)
+#: Every readable version, by layout.
+_SINGLE_VERSIONS = (1, 2, 4)
+_SHARDED_VERSIONS = (3, 5)
 
-#: The sharded manifest-plus-payloads format of :func:`save_sharded_index`.
-_SHARDED_FORMAT_VERSION = 3
+#: Versions whose object members (labels, a v3 manifest's shard_files)
+#: are pickled.
+_LEGACY_VERSIONS = (1, 2, 3)
+
+#: What reading one archive member can raise: a bad CRC or a zip
+#: structure error, a corrupt deflate stream (legacy archives), a
+#: missing member, a malformed ``.npy`` header or an object member read
+#: without pickle, and a short read.
+_MEMBER_ERRORS = (
+    zipfile.BadZipFile,
+    zlib.error,
+    KeyError,
+    ValueError,
+    EOFError,
+    OSError,
+)
+
+
+def is_sharded_version(version: int) -> bool:
+    """Whether format ``version`` is a sharded manifest (v3, v5), to load
+    with :func:`load_sharded_index`, rather than a single-index archive
+    (v1, v2, v4) for :func:`load_index`."""
+    return version in _SHARDED_VERSIONS
+
+
+def is_legacy_version(version: int) -> bool:
+    """Whether format ``version`` predates v4: its object members are
+    pickled, so only a load that unpickles can read it."""
+    return version in _LEGACY_VERSIONS
+
+
+class _Archive:
+    """An open ``.npz`` archive read without pickle.
+
+    Every member read returns an array or raises
+    :class:`~repro.exceptions.SerializationError` naming the file and
+    the member.  A context manager: leaving it closes the file.
+    """
+
+    def __init__(self, path: str, what: str) -> None:
+        self.path = path
+        try:
+            self._npz = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise SerializationError(f"cannot read {what} from {path!r}: {exc}") from exc
+        if not isinstance(self._npz, np.lib.npyio.NpzFile):
+            raise SerializationError(
+                f"cannot read {what} from {path!r}: not an .npz archive"
+            )
+
+    def __enter__(self) -> "_Archive":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._npz.close()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        try:
+            return self._npz[name]
+        except _MEMBER_ERRORS as exc:
+            raise self._error(name, exc) from exc
+
+    def unpickle(self, name: str) -> np.ndarray:
+        """Member ``name`` of a legacy (v1–v3) archive, object dtype
+        allowed: the one read that unpickles."""
+        try:
+            with self._npz.zip.open(f"{name}.npy") as member:
+                return np.lib.format.read_array(member, allow_pickle=True)
+        except _MEMBER_ERRORS + (pickle.UnpicklingError,) as exc:
+            raise self._error(name, exc) from exc
+
+    def _error(self, name: str, exc: BaseException) -> SerializationError:
+        return SerializationError(
+            f"cannot read member {name!r} of {self.path!r}: {exc}"
+        )
+
+    def format_version(self) -> int:
+        """The integer scalar ``format_version`` member."""
+        try:
+            version = self._npz["format_version"]
+        except KeyError:
+            raise SerializationError(
+                f"archive {self.path!r} carries no format_version: not an "
+                "archive written by save_index or save_sharded_index"
+            ) from None
+        except _MEMBER_ERRORS as exc:
+            raise SerializationError(
+                f"cannot read a format version from {self.path!r}: {exc}"
+            ) from exc
+        if version.shape != () or version.dtype.kind not in "iu":
+            raise SerializationError(
+                f"cannot read a format version from {self.path!r}: expected an "
+                f"integer scalar, got a {version.dtype} array of shape {version.shape}"
+            )
+        return int(version)
+
+
+def _labels_member(labels) -> np.ndarray:
+    """``labels`` as fixed-width unicode, empty when there are none."""
+    labels = [] if labels is None else [str(label) for label in labels]
+    member = np.asarray(labels, dtype=str)
+    if member.tolist() != labels:
+        # Fixed-width unicode pads with NULs and drops trailing ones.
+        raise SerializationError("a label ending in a NUL character cannot be saved")
+    return member
+
+
+def _read_labels(archive: _Archive, version: int) -> Optional[List[str]]:
+    if is_legacy_version(version):
+        labels = archive.unpickle("labels")
+    else:
+        labels = archive["labels"]
+    return [str(label) for label in labels] if labels.size else None
 
 
 def save_index(index, path: str) -> None:
-    """Serialise a built index to ``path`` (numpy ``.npz``, format v2).
+    """Serialise a built index to ``path`` (numpy ``.npz``, format v4).
 
     Accepts a built :class:`~repro.core.kdash.KDash` or a
     :class:`~repro.core.dynamic.DynamicKDash` whose update batch has
@@ -107,7 +253,6 @@ def save_index(index, path: str) -> None:
     src = np.asarray([u for u, _, _ in edges], dtype=np.int64)
     dst = np.asarray([v for _, v, _ in edges], dtype=np.int64)
     wgt = np.asarray([w for _, _, w in edges], dtype=np.float64)
-    labels = np.asarray(graph.labels if graph.labels is not None else [], dtype=object)
     # The PreparedIndex caches, flattened for the archive: successor
     # lists as a CSR-style (indptr, indices) pair, the proximity mass as
     # a dense vector.  Persisting them verbatim (instead of re-deriving
@@ -120,7 +265,7 @@ def save_index(index, path: str) -> None:
         [v for s in succ_lists for v in s], dtype=np.int64
     )
     try:
-        np.savez_compressed(
+        np.savez(
             path,
             format_version=_FORMAT_VERSION,
             n_nodes=graph.n_nodes,
@@ -138,11 +283,11 @@ def save_index(index, path: str) -> None:
             edge_src=src,
             edge_dst=dst,
             edge_weight=wgt,
-            labels=labels,
+            labels=_labels_member(graph.labels),
             succ_indptr=succ_indptr,
             succ_indices=succ_indices,
             total_mass_perm=index._total_mass_perm,
-            allow_pickle=True,
+            allow_pickle=False,
         )
     except OSError as exc:
         raise SerializationError(f"cannot write index to {path!r}: {exc}") from exc
@@ -153,41 +298,41 @@ def load_index(path: str) -> KDash:
 
     The returned object is query-ready (``is_built`` is ``True``); its
     ``build_report`` is ``None`` because the precomputation happened in a
-    previous process.  v2 archives restore the persisted
+    previous process.  v2 and v4 archives restore the persisted
     :class:`~repro.query.prepared.PreparedIndex` caches directly; v1
-    archives rebuild them on load.
+    archives rebuild them on load.  Only a v1/v2 archive's ``labels``
+    member is unpickled.
     """
-    import pickle
-    import zipfile
+    with _Archive(path, "index") as archive:
+        version = archive.format_version()
+        if is_sharded_version(version):
+            raise SerializationError(
+                f"index archive {path!r} is a format-v{version} sharded "
+                "manifest; load it with load_sharded_index()"
+            )
+        if version not in _SINGLE_VERSIONS:
+            raise SerializationError(
+                f"index archive {path!r} has format version {version}; this "
+                f"build reads versions {_SINGLE_VERSIONS} — the archive was "
+                "written by a newer release"
+            )
+        return _restore_index(archive, version)
 
-    try:
-        archive = np.load(path, allow_pickle=True)
-    except (OSError, ValueError, EOFError, pickle.UnpicklingError, zipfile.BadZipFile) as exc:
-        raise SerializationError(f"cannot read index from {path!r}: {exc}") from exc
-    try:
-        version = int(archive["format_version"])
-    except KeyError:
-        raise SerializationError(
-            f"index archive {path!r} carries no format_version: not an "
-            "archive written by save_index"
-        ) from None
-    if version == _SHARDED_FORMAT_VERSION:
-        raise SerializationError(
-            f"index archive {path!r} is a format-v3 sharded manifest; "
-            "load it with load_sharded_index()"
-        )
-    if version not in _READABLE_VERSIONS:
-        raise SerializationError(
-            f"index archive {path!r} has format version {version}; this "
-            f"build reads versions {_READABLE_VERSIONS} — the archive was "
-            "written by a newer release"
-        )
+
+def _restore_index(archive: _Archive, version: int) -> KDash:
     n = int(archive["n_nodes"])
-    labels_arr = archive["labels"]
-    labels = [str(x) for x in labels_arr] if labels_arr.size else None
-    graph = DiGraph(n, labels=labels)
-    for u, v, w in zip(archive["edge_src"], archive["edge_dst"], archive["edge_weight"]):
-        graph.add_edge(int(u), int(v), float(w))
+    try:
+        graph = DiGraph.from_edge_arrays(
+            n,
+            archive["edge_src"],
+            archive["edge_dst"],
+            archive["edge_weight"],
+            labels=_read_labels(archive, version),
+        )
+    except GraphError as exc:
+        raise SerializationError(
+            f"index archive {archive.path!r} holds an invalid graph: {exc}"
+        ) from exc
 
     index = KDash(graph, c=float(archive["c"]))
     index._perm = Permutation(archive["position"])
@@ -211,11 +356,9 @@ def load_index(path: str) -> KDash:
         # Restore the persisted PreparedIndex caches: unflatten the
         # successor lists and hand the proximity mass straight through —
         # no adjacency conversion, no triangular products.
-        indptr = np.asarray(archive["succ_indptr"], dtype=np.int64)
+        bounds = archive["succ_indptr"].tolist()
         indices = archive["succ_indices"].tolist()
-        succ_lists = [
-            indices[indptr[u] : indptr[u + 1]] for u in range(n)
-        ]
+        succ_lists = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
         index._finalise_query_path(
             succ_lists=succ_lists,
             total_mass_perm=archive["total_mass_perm"],
@@ -229,32 +372,19 @@ def load_index(path: str) -> KDash:
 
 
 # ----------------------------------------------------------------------
-# Format v3: sharded manifest + per-shard payloads
+# Sharded formats: manifest + per-shard payloads
 # ----------------------------------------------------------------------
 def read_format_version(path: str) -> int:
     """The ``format_version`` of an archive, without loading its payload.
 
-    Lets callers (e.g. the CLI) dispatch between :func:`load_index`
-    (v1/v2) and :func:`load_sharded_index` (v3) on any saved artefact.
-    Nothing is unpickled: a ``format_version`` member that holds a
-    pickled object, or anything but an integer scalar, raises
-    :class:`~repro.exceptions.SerializationError`.
+    Lets callers (e.g. the CLI) dispatch between :func:`load_index` and
+    :func:`load_sharded_index` (see :func:`is_sharded_version`) on any
+    saved artefact.  Nothing is unpickled: a ``format_version`` member
+    that holds a pickled object, or anything but an integer scalar,
+    raises :class:`~repro.exceptions.SerializationError`.
     """
-    import zipfile
-
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            version = archive["format_version"]
-    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
-        raise SerializationError(
-            f"cannot read a format version from {path!r}: {exc}"
-        ) from exc
-    if version.shape != () or version.dtype.kind not in "iu":
-        raise SerializationError(
-            f"cannot read a format version from {path!r}: expected an "
-            f"integer scalar, got a {version.dtype} array of shape {version.shape}"
-        )
-    return int(version)
+    with _Archive(path, "a format version") as archive:
+        return archive.format_version()
 
 
 def _shard_filename(manifest_path: str, shard_id: int) -> str:
@@ -267,7 +397,7 @@ def _atomic_savez(path: str, **arrays) -> None:
     """Write an ``.npz`` via a same-directory temp name + rename."""
     tmp = f"{path}.tmp-{os.getpid()}.npz"
     try:
-        np.savez_compressed(tmp, **arrays)
+        np.savez(tmp, allow_pickle=False, **arrays)
         os.replace(tmp, path)
     except OSError as exc:
         raise SerializationError(f"cannot write {path!r}: {exc}") from exc
@@ -277,7 +407,7 @@ def _atomic_savez(path: str, **arrays) -> None:
 
 
 def save_sharded_index(sharded: ShardedIndex, path: str) -> list:
-    """Serialise a :class:`~repro.core.sharded.ShardedIndex` (format v3).
+    """Serialise a :class:`~repro.core.sharded.ShardedIndex` (format v5).
 
     Writes the shard payload files first and the manifest **last**, each
     through an atomic same-directory rename: a reader that can open the
@@ -318,10 +448,9 @@ def save_sharded_index(sharded: ShardedIndex, path: str) -> list:
             )
             shard_files.append(os.path.basename(shard_path))
             written.append(shard_path)
-        labels = np.asarray(
-            sharded.labels if sharded.labels is not None else [], dtype=object
+        _write_manifest(
+            manifest_path, sharded, shard_files, _labels_member(sharded.labels)
         )
-        _write_manifest(manifest_path, sharded, shard_files, labels)
     except BaseException:
         for partial in written:
             try:
@@ -348,7 +477,7 @@ def _write_manifest(manifest_path, sharded, shard_files, labels) -> None:
         l_inv_indices=sharded.l_inv.indices,
         l_inv_data=sharded.l_inv.data,
         total_mass_perm=sharded.total_mass_perm,
-        shard_files=np.asarray(shard_files, dtype=object),
+        shard_files=np.asarray(shard_files, dtype=str),
         summary_n_members=np.asarray(
             [s.n_members for s in sharded.summaries], dtype=np.int64
         ),
@@ -364,14 +493,16 @@ def _write_manifest(manifest_path, sharded, shard_files, labels) -> None:
         if sharded.summaries
         else np.zeros((0, sharded.n)),
         labels=labels,
-        allow_pickle=True,
     )
 
 
 def load_sharded_index(
     path: str, only: Optional[Iterable[int]] = None
 ) -> ShardedIndex:
-    """Load a format-v3 sharded manifest written by :func:`save_sharded_index`.
+    """Load a sharded manifest written by :func:`save_sharded_index`.
+
+    Reads format v5, and legacy v3 (whose ``labels`` and
+    ``shard_files`` are the only members unpickled).
 
     Parameters
     ----------
@@ -387,37 +518,32 @@ def load_sharded_index(
     Raises
     ------
     SerializationError
-        On unreadable archives, wrong format versions, and — explicitly,
-        instead of a ``KeyError``/``FileNotFoundError`` from deep inside
-        numpy — when the manifest references a shard file that is
-        missing or unreadable.
+        On unreadable archives or members, wrong format versions, and —
+        explicitly, instead of a ``KeyError``/``FileNotFoundError`` from
+        deep inside numpy — when the manifest references a shard file
+        that is missing or unreadable.
     """
-    import pickle
-    import zipfile
+    with _Archive(path, "manifest") as manifest:
+        version = manifest.format_version()
+        if version in _SINGLE_VERSIONS:
+            raise SerializationError(
+                f"index archive {path!r} has single-index format version "
+                f"{version}; load it with load_index() (or re-save it with "
+                "save_sharded_index after sharding)"
+            )
+        if version not in _SHARDED_VERSIONS:
+            raise SerializationError(
+                f"sharded manifest {path!r} has format version {version}; this "
+                f"build reads versions {_SHARDED_VERSIONS} — the archive "
+                "was written by a newer release"
+            )
+        return _restore_sharded(manifest, version, only)
 
-    try:
-        manifest = np.load(path, allow_pickle=True)
-    except (OSError, ValueError, EOFError, pickle.UnpicklingError, zipfile.BadZipFile) as exc:
-        raise SerializationError(f"cannot read manifest from {path!r}: {exc}") from exc
-    try:
-        version = int(manifest["format_version"])
-    except KeyError:
-        raise SerializationError(
-            f"archive {path!r} carries no format_version: not a manifest "
-            "written by save_sharded_index"
-        ) from None
-    if version in _READABLE_VERSIONS:
-        raise SerializationError(
-            f"index archive {path!r} has single-index format version "
-            f"{version}; load it with load_index() (or re-save it with "
-            "save_sharded_index after sharding)"
-        )
-    if version != _SHARDED_FORMAT_VERSION:
-        raise SerializationError(
-            f"sharded manifest {path!r} has format version {version}; this "
-            f"build reads version {_SHARDED_FORMAT_VERSION} — the archive "
-            "was written by a newer release"
-        )
+
+def _restore_sharded(
+    manifest: _Archive, version: int, only: Optional[Iterable[int]]
+) -> ShardedIndex:
+    path = manifest.path
     n = int(manifest["n_nodes"])
     n_shards = int(manifest["n_shards"])
     only_set = None if only is None else {int(s) for s in only}
@@ -435,54 +561,31 @@ def load_sharded_index(
         manifest["l_inv_data"],
     )
     colmax = np.asarray(manifest["summary_colmax"], dtype=np.float64)
+    n_members = manifest["summary_n_members"]
+    rownorm_max = manifest["summary_rownorm_max"]
+    boundary_frac = manifest["summary_boundary_frac"]
     summaries = [
         ShardSummary(
             shard_id=shard_id,
-            n_members=int(manifest["summary_n_members"][shard_id]),
-            rownorm_max=float(manifest["summary_rownorm_max"][shard_id]),
-            boundary_frac=float(manifest["summary_boundary_frac"][shard_id]),
+            n_members=int(n_members[shard_id]),
+            rownorm_max=float(rownorm_max[shard_id]),
+            boundary_frac=float(boundary_frac[shard_id]),
             colmax=colmax[shard_id],
         )
         for shard_id in range(n_shards)
     ]
     directory = os.path.dirname(os.path.abspath(path))
-    shard_files = [str(name) for name in manifest["shard_files"]]
+    if is_legacy_version(version):
+        shard_files = manifest.unpickle("shard_files")
+    else:
+        shard_files = manifest["shard_files"]
+    shard_files = [str(name) for name in shard_files]
     shards = []
     for shard_id in range(n_shards):
         if only_set is not None and shard_id not in only_set:
             shards.append(None)
             continue
-        shard_path = os.path.join(directory, shard_files[shard_id])
-        if not os.path.exists(shard_path):
-            raise SerializationError(
-                f"shard manifest {path!r} references missing shard file "
-                f"{shard_files[shard_id]!r} (expected at {shard_path!r})"
-            )
-        try:
-            payload = np.load(shard_path, allow_pickle=True)
-        except (OSError, ValueError, EOFError, pickle.UnpicklingError, zipfile.BadZipFile) as exc:
-            raise SerializationError(
-                f"shard manifest {path!r} references unreadable shard file "
-                f"{shard_path!r}: {exc}"
-            ) from exc
-        if int(payload["shard_id"]) != shard_id:
-            raise SerializationError(
-                f"shard file {shard_path!r} carries shard id "
-                f"{int(payload['shard_id'])}, expected {shard_id}"
-            )
-        shards.append(
-            ShardIndex(
-                shard_id,
-                payload["members"],
-                payload["scan_nodes"].tolist(),
-                payload["scan_norms"].tolist(),
-                payload["row_indptr"],
-                payload["row_indices"],
-                payload["row_data"],
-            )
-        )
-    labels_arr = manifest["labels"]
-    labels = [str(x) for x in labels_arr] if labels_arr.size else None
+        shards.append(_load_shard(path, directory, shard_files[shard_id], shard_id))
     return ShardedIndex(
         n=n,
         c=float(manifest["c"]),
@@ -494,5 +597,38 @@ def load_sharded_index(
         total_mass_perm=manifest["total_mass_perm"],
         shards=shards,
         summaries=summaries,
-        labels=labels,
+        labels=_read_labels(manifest, version),
     )
+
+
+def _load_shard(path: str, directory: str, filename: str, shard_id: int) -> ShardIndex:
+    """Shard ``shard_id``'s payload, named ``filename`` by manifest ``path``."""
+    shard_path = os.path.join(directory, filename)
+    if not os.path.exists(shard_path):
+        raise SerializationError(
+            f"shard manifest {path!r} references missing shard file "
+            f"{filename!r} (expected at {shard_path!r})"
+        )
+    try:
+        payload = _Archive(shard_path, "shard file")
+    except SerializationError as exc:
+        raise SerializationError(
+            f"shard manifest {path!r} references unreadable shard file "
+            f"{shard_path!r}: {exc.__cause__ or exc}"
+        ) from exc
+    with payload:
+        stored_id = int(payload["shard_id"])
+        if stored_id != shard_id:
+            raise SerializationError(
+                f"shard file {shard_path!r} carries shard id "
+                f"{stored_id}, expected {shard_id}"
+            )
+        return ShardIndex(
+            shard_id,
+            payload["members"],
+            payload["scan_nodes"].tolist(),
+            payload["scan_norms"].tolist(),
+            payload["row_indptr"],
+            payload["row_indices"],
+            payload["row_data"],
+        )

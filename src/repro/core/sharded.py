@@ -37,7 +37,7 @@ canonical ``(proximity, -node)`` heap discipline shared with the kernel
 makes tie resolution order-independent, which is what lets per-shard
 candidates merge into the exact same top-k set.
 
-The shard payloads are what the serving tier distributes: format-v3
+The shard payloads are what the serving tier distributes: format-v5
 archives (:mod:`repro.core.index_io`) persist one manifest (shared
 state + summaries) plus one file per shard, and each
 :class:`~repro.serving.sharded.ShardPool` worker loads the manifest and
@@ -405,7 +405,7 @@ class ShardedIndex:
     :meth:`KDash.build`, and :meth:`from_index` re-slices its ``U^-1``
     rows by shard.  Shared, shard-invariant state — the seed-side
     ``L^-1``, the permutation, the exact per-query proximity mass — is
-    held once (and persisted once, in the v3 manifest); each worker of a
+    held once (and persisted once, in the sharded manifest); each worker of a
     distributed deployment additionally holds only its own shard's rows,
     roughly ``1/n_shards`` of the answer-side index.
 

@@ -68,6 +68,65 @@ class DiGraph:
         else:
             self.labels = None
 
+    @classmethod
+    def from_edge_arrays(
+        cls,
+        n_nodes: int,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weight: np.ndarray,
+        labels: Optional[Sequence[str]] = None,
+    ) -> "DiGraph":
+        """The graph whose distinct edges are ``src[i] -> dst[i]``, in order.
+
+        The bulk counterpart of one :meth:`add_edge` per edge, for an
+        edge list that names each edge once (an index archive's).  The
+        arrays are checked whole: equal-length 1-D integer ids in
+        ``[0, n_nodes)``, positive finite weights, and no repeated
+        ``(u, v)`` pair; anything else raises
+        :class:`~repro.exceptions.GraphError`.  Successor and
+        predecessor dicts are filled in array order, so :meth:`edges`,
+        :meth:`successors` and :meth:`predecessors` iterate exactly as
+        on a graph built by :meth:`add_edge` over the same list.
+        """
+        graph = cls(n_nodes, labels=labels)
+        n = graph._n
+        src, dst, weight = np.asarray(src), np.asarray(dst), np.asarray(weight)
+        if src.ndim != 1 or src.shape != dst.shape or src.shape != weight.shape:
+            raise GraphError(
+                f"edge arrays must be 1-D and of equal length, got shapes "
+                f"{src.shape}, {dst.shape} and {weight.shape}"
+            )
+        if src.dtype.kind not in "iu" or dst.dtype.kind not in "iu":
+            raise GraphError(
+                f"edge endpoints must be integer ids, got {src.dtype} and {dst.dtype}"
+            )
+        if weight.dtype.kind not in "iuf":
+            raise GraphError(f"edge weights must be real numbers, got {weight.dtype}")
+        if src.size:
+            low, high = min(src.min(), dst.min()), max(src.max(), dst.max())
+            if low < 0 or high >= n:
+                raise GraphError(
+                    f"edge endpoint {low if low < 0 else high} out of range for "
+                    f"{n} nodes (valid ids are 0..{n - 1})"
+                )
+            weight = weight.astype(np.float64, copy=False)
+            bad = ~(np.isfinite(weight) & (weight > 0.0))
+            if bad.any():
+                raise GraphError(
+                    "edge weight must be positive and finite, got "
+                    f"{float(weight[bad][0])!r}"
+                )
+            keys = src.astype(np.int64) * n + dst.astype(np.int64)
+            if np.unique(keys).size != keys.size:
+                raise GraphError("edge arrays list some (u, v) pair more than once")
+        succ, pred = graph._succ, graph._pred
+        for u, v, w in zip(src.tolist(), dst.tolist(), weight.tolist()):
+            succ[u][v] = w
+            pred[v][u] = w
+        graph._m = len(src)
+        return graph
+
     # ------------------------------------------------------------------
     # Basic properties
     # ------------------------------------------------------------------

@@ -6,7 +6,7 @@ scale.  One writer, many readers, a filesystem of immutable snapshots
 between them:
 
 - :mod:`repro.serving.snapshot` — :class:`SnapshotStore`, epoch-tagged
-  atomic publication of v2 index archives (which persist the
+  atomic publication of v4 index archives (which persist the
   ``PreparedIndex`` caches, so adopting a snapshot skips
   re-preparation);
 - :mod:`repro.serving.publisher` — :class:`SnapshotPublisher`, the
@@ -25,7 +25,7 @@ between them:
   snapshot swap invisible to in-flight queries, written once for both
   pools and driven by a plan of rounds;
 - :mod:`repro.serving.sharded` — :class:`ShardPool` (the replica pool
-  with one worker per shard of a format-v3 manifest, each holding
+  with one worker per shard of a format-v5 manifest, each holding
   ``1/n_shards`` of the answer-side index) and
   :class:`ShardedScheduler` (the scheduler with a home-first
   scatter-gather plan and cross-shard bound skipping; results

@@ -46,9 +46,9 @@ class SnapshotPublisher:
         The :class:`~repro.serving.snapshot.SnapshotStore` to publish
         into.
     shard_spec:
-        ``None`` publishes v2 single-index archives (replica-pool
+        ``None`` publishes v4 single-index archives (replica-pool
         deployment).  A ``(n_shards, partitioner)`` or ``(n_shards,
-        partitioner, seed)`` tuple publishes format-v3 **sharded**
+        partitioner, seed)`` tuple publishes format-v5 **sharded**
         snapshots instead: after compaction the base index is re-sliced
         with :meth:`~repro.core.sharded.ShardedIndex.from_index` and the
         manifest-plus-payloads layout is written, ready for a
@@ -102,7 +102,7 @@ class SnapshotPublisher:
 
         With a :attr:`shard_spec` the published artefact is a sharded
         manifest re-sliced from the compacted base index; otherwise the
-        plain v2 archive.
+        plain v4 archive.
         """
         t0 = perf_counter()
         if self.engine.dynamic.n_pending_columns:

@@ -10,7 +10,7 @@ traffic.  Two pools share every pipe and lifecycle mechanism here:
   :class:`~repro.query.engine.QueryEngine` over the whole snapshot
   (private LRU result cache, private workspace);
 - :class:`~repro.serving.sharded.ShardPool` — one worker per shard of a
-  format-v3 manifest, each scanning only its own shard.
+  format-v5 manifest, each scanning only its own shard.
 
 Every worker runs :func:`worker_main`: load the snapshot, report
 ``ready``, then serve messages until told to stop.  A hot swap to a
@@ -90,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.index_io import load_index
+from ..core.index_io import is_legacy_version, is_sharded_version, load_index
 from ..exceptions import InvalidParameterError, ServingError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import remote_span
@@ -128,6 +128,32 @@ def read_snapshot_header(path: str, what: str = "snapshot"):
         zipfile.BadZipFile,
     ) as exc:
         raise ServingError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
+def _check_snapshot_format(path: str, version: int, sharded: bool) -> None:
+    """Refuse, with a :class:`~repro.exceptions.ServingError`, a snapshot
+    whose format the pool's workers must not load: a legacy (v1–v3) one,
+    which only loads by unpickling, or one of the other tier's layout
+    (a sharded manifest when ``sharded`` is false, or the reverse)."""
+    if is_legacy_version(version):
+        raise ServingError(
+            f"snapshot {path!r} has legacy format version {version}, which "
+            "loads only by unpickling, and pool workers unpickle nothing; "
+            "re-publish it: load it with load_index (or load_sharded_index) "
+            "and publish it through a SnapshotStore, which writes format v4 "
+            "(or v5)"
+        )
+    if sharded and not is_sharded_version(version):
+        raise ServingError(
+            f"ShardPool needs a sharded (format-v3 or format-v5) manifest; "
+            f"{path!r} has single-index format version {version} (serve it "
+            "through ReplicaPool, or shard it first)"
+        )
+    if not sharded and is_sharded_version(version):
+        raise ServingError(
+            f"ReplicaPool needs a single-index archive; {path!r} is a sharded "
+            f"(format-v{version}) manifest (serve it through ShardPool)"
+        )
 
 
 def _report_worker_crash(replies, worker_id: int) -> None:
@@ -400,11 +426,15 @@ class ReplicaPool:
             raise
 
     def _load_snapshot_meta(self, path: str) -> None:
-        """Read what the gather side validates requests against: the
-        snapshot's node count (subclass hook; the shard pool also reads
-        its routing metadata)."""
+        """Check the snapshot's format and read what the gather side
+        validates requests against, its node count, before any worker
+        loads it (subclass hook; the shard pool also reads its routing
+        metadata)."""
         with read_snapshot_header(path) as archive:
-            self.n_nodes = int(archive["n_nodes"])
+            n_nodes = int(archive["n_nodes"])
+            version = int(archive["format_version"])
+        _check_snapshot_format(path, version, sharded=False)
+        self.n_nodes = n_nodes
 
     # ------------------------------------------------------------------
     @property

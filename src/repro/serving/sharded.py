@@ -2,7 +2,7 @@
 
 The replica pool (:mod:`repro.serving.replica`) scales *throughput* by
 replicating the whole index per worker; this module scales the **index
-itself**: each worker process owns one shard of a format-v3 archive —
+itself**: each worker process owns one shard of a format-v5 archive —
 the manifest's shared seed-side state plus only its own ``U^-1`` row
 payload, roughly ``1/n_shards`` of the answer-side index — and queries
 run the same home-first / bound-ordered / skip-below-θ plan as the
@@ -52,7 +52,13 @@ from ..obs.metrics import MetricsRegistry
 from ..query.approx import PrecisionPolicy
 from ..query.backends import resolve_backend_name
 from ..query.kernel import ScanResult, scan_to_topk
-from .replica import DEFAULT_TIMEOUT, ReplicaPool, _span_pair, read_snapshot_header
+from .replica import (
+    DEFAULT_TIMEOUT,
+    ReplicaPool,
+    _check_snapshot_format,
+    _span_pair,
+    read_snapshot_header,
+)
 from .router import Router
 from .scheduler import MicroBatchScheduler, _max_epoch
 from .snapshot import Snapshot
@@ -169,12 +175,12 @@ class ShardServer:
 
 
 class ShardPool(ReplicaPool):
-    """One worker process per shard of a format-v3 sharded snapshot.
+    """One worker process per shard of a format-v5 sharded snapshot.
 
     Parameters
     ----------
     snapshot:
-        A :class:`~repro.serving.snapshot.Snapshot` whose path is a v3
+        A :class:`~repro.serving.snapshot.Snapshot` whose path is a v5
         manifest (or a plain manifest path, treated as epoch 0).  The
         worker count **is** the manifest's shard count — worker ``i``
         owns shard ``i``.
@@ -208,12 +214,7 @@ class ShardPool(ReplicaPool):
         """
         with read_snapshot_header(path, "sharded manifest") as manifest:
             version = int(manifest["format_version"])
-            if version != 3:
-                raise ServingError(
-                    f"ShardPool needs a format-v3 sharded manifest; "
-                    f"{path!r} has format version {version} (serve v1/v2 "
-                    "archives through ReplicaPool, or shard them first)"
-                )
+            _check_snapshot_format(path, version, sharded=True)
             n_shards = int(manifest["n_shards"])
             n_nodes = int(manifest["n_nodes"])
             assignment = np.asarray(manifest["assignment"], dtype=np.int64)

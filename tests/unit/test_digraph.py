@@ -40,6 +40,32 @@ class TestConstruction:
         g.add_edge(4, 0)
         assert g.has_edge(4, 0)
 
+    def test_from_edge_arrays_matches_add_edge(self):
+        """The bulk build is the per-edge build, iteration order included,
+        for edges in no particular order."""
+        rng = np.random.default_rng(3)
+        pairs = rng.permutation([(u, v) for u in range(12) for v in range(12)])[:60]
+        weights = rng.uniform(0.5, 2.0, size=len(pairs))
+        reference = DiGraph(12, labels=[f"n{u}" for u in range(12)])
+        for (u, v), w in zip(pairs.tolist(), weights.tolist()):
+            reference.add_edge(u, v, w)
+        bulk = DiGraph.from_edge_arrays(
+            12, pairs[:, 0], pairs[:, 1], weights, labels=reference.labels
+        )
+        assert bulk.n_edges == reference.n_edges == 60
+        assert bulk.labels == reference.labels
+        assert list(bulk.edges()) == list(reference.edges())
+        for u in range(12):
+            assert bulk.successors(u) == reference.successors(u)
+            assert bulk.predecessors(u) == reference.predecessors(u)
+        assert bulk.adjacency_csc().to_dense().tolist() == (
+            reference.adjacency_csc().to_dense().tolist()
+        )
+
+    def test_from_edge_arrays_rejects_non_integer_ids(self):
+        with pytest.raises(GraphError, match="integer ids"):
+            DiGraph.from_edge_arrays(3, np.array([0.0]), np.array([1]), np.array([1.0]))
+
 
 class TestEdges:
     def test_add_edge_basic(self):

@@ -1,4 +1,8 @@
-"""Unit tests for index persistence (snapshot format v2 + v1 compat)."""
+"""Unit tests for index persistence: formats v4/v5, and legacy v1–v3."""
+
+import multiprocessing
+import os
+import zipfile
 
 import numpy as np
 import pytest
@@ -40,6 +44,98 @@ def _save_v1(index: KDash, path: str) -> None:
         ),
         allow_pickle=True,
     )
+
+
+def _save_v2(index: KDash, path: str, **overrides) -> None:
+    """Write a legacy v2 archive: the v4 members, deflated, with labels
+    as a pickled object array (the writer v4 replaced).  ``overrides``
+    replace members."""
+    graph = index.graph
+    edges = list(graph.edges())
+    succ_lists = index._succ_lists
+    succ_indptr = np.zeros(graph.n_nodes + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in succ_lists], out=succ_indptr[1:])
+    arrays = dict(
+        format_version=2,
+        n_nodes=graph.n_nodes,
+        c=index.c,
+        position=index._perm.position,
+        l_inv_indptr=index._l_inv.indptr,
+        l_inv_indices=index._l_inv.indices,
+        l_inv_data=index._l_inv.data,
+        u_inv_indptr=index._u_inv.indptr,
+        u_inv_indices=index._u_inv.indices,
+        u_inv_data=index._u_inv.data,
+        amax_col=index._amax_col,
+        amax=index._amax,
+        diag=index._diag,
+        edge_src=np.asarray([u for u, _, _ in edges], dtype=np.int64),
+        edge_dst=np.asarray([v for _, v, _ in edges], dtype=np.int64),
+        edge_weight=np.asarray([w for _, _, w in edges], dtype=np.float64),
+        labels=np.asarray(
+            graph.labels if graph.labels is not None else [], dtype=object
+        ),
+        succ_indptr=succ_indptr,
+        succ_indices=np.asarray([v for s in succ_lists for v in s], dtype=np.int64),
+        total_mass_perm=index._total_mass_perm,
+    )
+    arrays.update(overrides)
+    np.savez_compressed(path, allow_pickle=True, **arrays)
+
+
+def _save_v3(sharded, path: str, **overrides) -> list:
+    """Write a legacy v3 manifest plus payloads: the v5 members,
+    deflated, with labels and shard_files as pickled object arrays.
+    ``overrides`` replace manifest members.  Returns the written paths,
+    manifest last."""
+    stem = path[:-4]
+    written, shard_files = [], []
+    for shard_id, payload in enumerate(sharded.shards):
+        shard_path = f"{stem}.shard{shard_id:03d}.npz"
+        np.savez_compressed(
+            shard_path,
+            format_version=3,
+            shard_id=shard_id,
+            members=payload.members,
+            scan_nodes=np.asarray(payload.scan_nodes, dtype=np.int64),
+            scan_norms=np.asarray(payload.scan_norms, dtype=np.float64),
+            row_indptr=np.asarray(payload.row_indptr, dtype=np.int64),
+            row_indices=payload.row_indices,
+            row_data=payload.row_data,
+        )
+        shard_files.append(os.path.basename(shard_path))
+        written.append(shard_path)
+    arrays = dict(
+        format_version=3,
+        n_nodes=sharded.n,
+        c=sharded.c,
+        n_shards=sharded.n_shards,
+        partitioner=sharded.partitioner,
+        shard_seed=sharded.seed,
+        assignment=sharded.assignment,
+        position=np.asarray(sharded.position, dtype=np.int64),
+        l_inv_indptr=sharded.l_inv.indptr,
+        l_inv_indices=sharded.l_inv.indices,
+        l_inv_data=sharded.l_inv.data,
+        total_mass_perm=sharded.total_mass_perm,
+        shard_files=np.asarray(shard_files, dtype=object),
+        summary_n_members=np.asarray(
+            [s.n_members for s in sharded.summaries], dtype=np.int64
+        ),
+        summary_rownorm_max=np.asarray(
+            [s.rownorm_max for s in sharded.summaries], dtype=np.float64
+        ),
+        summary_boundary_frac=np.asarray(
+            [s.boundary_frac for s in sharded.summaries], dtype=np.float64
+        ),
+        summary_colmax=np.vstack([s.colmax for s in sharded.summaries]),
+        labels=np.asarray(
+            sharded.labels if sharded.labels is not None else [], dtype=object
+        ),
+    )
+    arrays.update(overrides)
+    np.savez_compressed(path, allow_pickle=True, **arrays)
+    return written + [path]
 
 
 _UNPICKLED = []
@@ -121,12 +217,12 @@ class TestFormatV2:
         save_index(index, path)
         return index, load_index(path)
 
-    def test_archive_tagged_v2(self, tmp_path, er_graph):
-        path = str(tmp_path / "v2.npz")
+    def test_archive_tagged_v4(self, tmp_path, er_graph):
+        path = str(tmp_path / "v4.npz")
         save_index(KDash(er_graph, c=0.9).build(), path)
-        archive = np.load(path, allow_pickle=True)
-        assert int(archive["format_version"]) == 2
-        assert "succ_indptr" in archive and "total_mass_perm" in archive
+        with np.load(path, allow_pickle=False) as archive:
+            assert int(archive["format_version"]) == 4
+            assert "succ_indptr" in archive and "total_mass_perm" in archive
 
     def test_all_four_query_modes_identical(self, loaded):
         """save→load→query equivalence for every public query mode."""
@@ -328,10 +424,10 @@ class TestShardedFormatV3:
         from repro.core import read_format_version
 
         _, manifest_path, _ = saved
-        assert read_format_version(manifest_path) == 3
+        assert read_format_version(manifest_path) == 5
         plain = str(tmp_path / "plain.npz")
         save_index(built, plain)
-        assert read_format_version(plain) == 2
+        assert read_format_version(plain) == 4
         with pytest.raises(SerializationError):
             read_format_version(str(tmp_path / "nope.npz"))
 
@@ -400,3 +496,371 @@ class TestShardedFormatV3:
         with pytest.raises(SerializationError, match="disk full"):
             save_sharded_index(sharded, str(tmp_path / "doomed.npz"))
         assert list(tmp_path.iterdir()) == []
+
+
+# ----------------------------------------------------------------------
+# The stored, pickle-free formats (v4, v5) and their legacy readers
+# ----------------------------------------------------------------------
+def _assert_identical(a, b, where=""):
+    """Equal bit for bit; arrays also in dtype, shape and C-contiguity."""
+    if isinstance(a, tuple):
+        assert isinstance(b, tuple) and len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            _assert_identical(x, y, f"{where}[{i}]")
+    elif isinstance(a, np.ndarray):
+        assert isinstance(b, np.ndarray), where
+        assert (a.dtype, a.shape, a.flags.c_contiguous) == (
+            b.dtype,
+            b.shape,
+            b.flags.c_contiguous,
+        ), where
+        assert a.tobytes() == b.tobytes(), where
+    else:
+        assert a == b, where
+
+
+def _assert_same_state(a: dict, b: dict):
+    assert a.keys() == b.keys()
+    for name in a:
+        _assert_identical(a[name], b[name], name)
+
+
+def _index_state(index: KDash) -> dict:
+    graph = index.graph
+    return {
+        "c": index.c,
+        "amax": index._amax,
+        "position": index._perm.position,
+        "l_inv": (index._l_inv.indptr, index._l_inv.indices, index._l_inv.data),
+        "u_inv": (index._u_inv.indptr, index._u_inv.indices, index._u_inv.data),
+        "amax_col": index._amax_col,
+        "diag": index._diag,
+        "total_mass_perm": index._total_mass_perm,
+        "succ_lists": index._succ_lists,
+        "labels": graph.labels,
+        "edges": list(graph.edges()),
+    }
+
+
+def _sharded_state(sharded) -> dict:
+    state = {
+        name: getattr(sharded, name)
+        for name in (
+            "n", "c", "assignment", "partitioner", "seed", "position",
+            "total_mass_perm", "labels",
+        )
+    }
+    state["l_inv"] = (sharded.l_inv.indptr, sharded.l_inv.indices, sharded.l_inv.data)
+    for s in sharded.summaries:
+        state[f"summary{s.shard_id}"] = (
+            s.shard_id, s.n_members, s.rownorm_max, s.boundary_frac, s.colmax,
+        )
+    for shard in sharded.shards:
+        state[f"shard{shard.shard_id}"] = tuple(
+            getattr(shard, slot)
+            for slot in (
+                "members", "scan_nodes", "scan_norms", "row_indptr",
+                "row_indices", "row_data", "block_indptr", "block_indices",
+                "block_data",
+            )
+        )
+    return state
+
+
+def _assert_same_answers(a: KDash, b: KDash):
+    for q in range(0, a.graph.n_nodes, 7):
+        x, y = a.top_k(q, 6), b.top_k(q, 6)
+        assert x.items == y.items
+        assert (x.n_visited, x.n_computed, x.n_pruned) == (
+            y.n_visited,
+            y.n_computed,
+            y.n_pruned,
+        )
+    assert a.proximity_column(3).tobytes() == b.proximity_column(3).tobytes()
+
+
+def _members(path: str) -> dict:
+    with np.load(path, allow_pickle=False) as archive:
+        return {name: archive[name] for name in archive.files}
+
+
+def _data_offset(path: str, info: zipfile.ZipInfo) -> int:
+    """File offset of a member's data: past its local header, whose
+    extra field can differ from the central directory's."""
+    with open(path, "rb") as handle:
+        handle.seek(info.header_offset + 26)
+        name_len, extra_len = np.frombuffer(handle.read(4), dtype="<u2")
+    return info.header_offset + 30 + int(name_len) + int(extra_len)
+
+
+def _flip_bit_in_largest_member(path: str) -> str:
+    """Flip one bit in the middle of the largest member's data; returns
+    the member's name (without ``.npy``)."""
+    with zipfile.ZipFile(path) as archive:
+        info = max(archive.infolist(), key=lambda i: i.compress_size)
+    offset = _data_offset(path, info) + info.compress_size // 2
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        byte = handle.read(1)[0]
+        handle.seek(offset)
+        handle.write(bytes([byte ^ 0x10]))
+    return info.filename[: -len(".npy")]
+
+
+def _pickled(count: int) -> np.ndarray:
+    hostile = np.empty(count, dtype=object)
+    hostile[:] = [_Pickled() for _ in range(count)]
+    return hostile
+
+
+@pytest.fixture(scope="module")
+def labelled_index():
+    """A built index over a graph with non-ASCII and empty labels, whose
+    successors are not in id order."""
+    from repro.graph import erdos_renyi_graph
+
+    base = erdos_renyi_graph(50, 0.1, seed=13)
+    names = ["α", "Zürich", "東京", "node with spaces"]
+    graph = DiGraph(50, labels=[f"{names[u % 4]}{u}" if u % 5 else "" for u in range(50)])
+    for u in range(50):
+        for v in sorted(base.successors(u), reverse=True):
+            graph.add_edge(u, v, base.edge_weight(u, v))
+    return KDash(graph, c=0.9).build()
+
+
+@pytest.fixture(scope="module")
+def unlabelled_index():
+    from repro.graph import erdos_renyi_graph
+
+    return KDash(erdos_renyi_graph(50, 0.1, seed=13), c=0.9).build()
+
+
+@pytest.fixture(params=["labelled", "unlabelled"])
+def any_index(request, labelled_index, unlabelled_index):
+    return labelled_index if request.param == "labelled" else unlabelled_index
+
+
+class TestStoredPickleFreeFormats:
+    """v4 archives and v5 manifests and payloads: stored members, no
+    pickle, bit-identical round trips."""
+
+    def test_every_member_stored_and_pickle_free(self, labelled_index, tmp_path):
+        from repro.core import ShardedIndex, save_sharded_index
+
+        v4 = str(tmp_path / "v4.npz")
+        save_index(labelled_index, v4)
+        sharded = ShardedIndex.from_index(labelled_index, 3, partitioner="louvain")
+        written = save_sharded_index(sharded, str(tmp_path / "v5.npz"))
+        for path in [v4] + written:
+            with zipfile.ZipFile(path) as archive:
+                infos = archive.infolist()
+            assert infos and all(i.compress_type == zipfile.ZIP_STORED for i in infos)
+            members = _members(path)  # raises on any object member
+            assert int(members["format_version"]) == (4 if path == v4 else 5)
+            assert all(a.dtype != object for a in members.values())
+
+    def test_v4_round_trip_bit_identical(self, any_index, tmp_path):
+        path = str(tmp_path / "v4.npz")
+        save_index(any_index, path)
+        loaded = load_index(path)
+        _assert_same_state(_index_state(any_index), _index_state(loaded))
+        _assert_same_answers(any_index, loaded)
+
+    def test_v5_round_trip_bit_identical(self, any_index, tmp_path):
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+
+        sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
+        path = str(tmp_path / "v5.npz")
+        save_sharded_index(sharded, path)
+        _assert_same_state(_sharded_state(sharded), _sharded_state(load_sharded_index(path)))
+
+    def test_restored_graph_iterates_as_saved(self, labelled_index, tmp_path):
+        path = str(tmp_path / "v4.npz")
+        save_index(labelled_index, path)
+        saved, restored = labelled_index.graph, load_index(path).graph
+        assert list(restored.edges()) == list(saved.edges())
+        assert restored.n_edges == saved.n_edges
+        for u in saved.nodes():
+            assert restored.successors(u) == saved.successors(u)
+            assert restored.predecessors(u) == saved.predecessors(u)
+        assert saved.successors(0) != sorted(saved.successors(0))
+
+    @pytest.mark.parametrize(
+        "mutation, message",
+        [
+            ("id_out_of_range", "out of range"),
+            ("negative_id", "out of range"),
+            ("nan_weight", "positive and finite"),
+            ("zero_weight", "positive and finite"),
+            ("duplicate_pair", "more than once"),
+            ("mismatched_lengths", "equal length"),
+        ],
+    )
+    def test_malformed_edge_arrays_refused(
+        self, unlabelled_index, tmp_path, mutation, message
+    ):
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        members = _members(path)
+        src, dst, weight = (
+            members["edge_src"].copy(),
+            members["edge_dst"].copy(),
+            members["edge_weight"].copy(),
+        )
+        if mutation == "id_out_of_range":
+            dst[5] = int(members["n_nodes"])
+        elif mutation == "negative_id":
+            src[5] = -1
+        elif mutation == "nan_weight":
+            weight[5] = np.nan
+        elif mutation == "zero_weight":
+            weight[5] = 0.0
+        elif mutation == "duplicate_pair":
+            src[6], dst[6] = src[5], dst[5]
+        else:
+            weight = weight[:-1]
+        members.update(edge_src=src, edge_dst=dst, edge_weight=weight)
+        np.savez(path, **members)
+        with pytest.raises(SerializationError, match=message):
+            load_index(path)
+
+    def test_object_member_refused_without_unpickling(self, unlabelled_index, tmp_path):
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+
+        before = len(_UNPICKLED)
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        members = _members(path)
+        members["labels"] = _pickled(unlabelled_index.graph.n_nodes)
+        np.savez(path, allow_pickle=True, **members)
+        with pytest.raises(SerializationError, match="'labels'.*allow_pickle"):
+            load_index(path)
+        manifest = str(tmp_path / "v5.npz")
+        save_sharded_index(ShardedIndex.from_index(unlabelled_index, 2), manifest)
+        members = _members(manifest)
+        members["shard_files"] = _pickled(2)
+        np.savez(manifest, allow_pickle=True, **members)
+        with pytest.raises(SerializationError, match="'shard_files'.*allow_pickle"):
+            load_sharded_index(manifest)
+        assert len(_UNPICKLED) == before
+
+    def test_label_with_trailing_nul_refused(self, tmp_path):
+        graph = DiGraph(2, labels=["a", "b\x00"])
+        graph.add_edge(0, 1)
+        with pytest.raises(SerializationError, match="NUL"):
+            save_index(KDash(graph, c=0.9).build(), str(tmp_path / "x.npz"))
+
+
+class TestLegacyFormats:
+    """v2 archives and v3 manifests, written by copies of the old
+    writers, still load and answer bit for bit like v4/v5."""
+
+    def test_v2_loads_like_v4(self, any_index, tmp_path):
+        v2, v4 = str(tmp_path / "v2.npz"), str(tmp_path / "v4.npz")
+        _save_v2(any_index, v2)
+        save_index(any_index, v4)
+        legacy, current = load_index(v2), load_index(v4)
+        _assert_same_state(_index_state(legacy), _index_state(current))
+        _assert_same_answers(legacy, current)
+
+    def test_v3_loads_like_v5(self, any_index, tmp_path):
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+        from repro.query import ScatterGatherPlanner
+
+        sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
+        v3, v5 = str(tmp_path / "v3.npz"), str(tmp_path / "v5.npz")
+        _save_v3(sharded, v3)
+        save_sharded_index(sharded, v5)
+        legacy, current = load_sharded_index(v3), load_sharded_index(v5)
+        _assert_same_state(_sharded_state(legacy), _sharded_state(current))
+        a, b = ScatterGatherPlanner(legacy), ScatterGatherPlanner(current)
+        for q in range(0, 50, 7):
+            assert a.top_k(q, 5).items == b.top_k(q, 5).items
+
+
+class TestCorruptMembers:
+    """Any failure reading a member is a SerializationError naming the
+    file and the member, never a zipfile or zlib error."""
+
+    def test_bit_flip_in_v4_archive(self, unlabelled_index, tmp_path):
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        member = _flip_bit_in_largest_member(path)
+        with pytest.raises(SerializationError, match=f"'{member}' of '{path}'.*CRC"):
+            load_index(path)
+
+    def test_bit_flip_in_v5_payload(self, unlabelled_index, tmp_path):
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+
+        sharded = ShardedIndex.from_index(unlabelled_index, 2, partitioner="range")
+        written = save_sharded_index(sharded, str(tmp_path / "v5.npz"))
+        member = _flip_bit_in_largest_member(written[1])
+        with pytest.raises(SerializationError, match=f"'{member}' of '{written[1]}'"):
+            load_sharded_index(written[-1])
+        load_sharded_index(written[-1], only=[0])  # shard 0 is intact
+
+    def test_bit_flip_in_legacy_v2_archive(self, unlabelled_index, tmp_path):
+        path = str(tmp_path / "v2.npz")
+        _save_v2(unlabelled_index, path)
+        member = _flip_bit_in_largest_member(path)
+        with pytest.raises(SerializationError, match=f"'{member}' of '{path}'"):
+            load_index(path)
+
+    def test_missing_member(self, unlabelled_index, tmp_path):
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        members = _members(path)
+        del members["u_inv_data"]
+        np.savez(path, **members)
+        with pytest.raises(SerializationError, match="'u_inv_data' of"):
+            load_index(path)
+
+    def test_cli_query_exits_2(self, unlabelled_index, tmp_path, capsys):
+        from repro.cli import main
+
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        _flip_bit_in_largest_member(path)
+        assert main(["query", "--index", path, "--node", "0"]) == 2
+        assert "error: cannot read member" in capsys.readouterr().out
+
+
+class TestPoolsRefuseLegacySnapshots:
+    """No worker unpickles: a v1–v3 snapshot is refused on the gather
+    side, before any worker starts."""
+
+    def test_replica_pool_refuses_v2(self, unlabelled_index, tmp_path):
+        from repro.exceptions import ServingError
+        from repro.serving import ReplicaPool
+
+        before, children = len(_UNPICKLED), set(multiprocessing.active_children())
+        path = str(tmp_path / "v2.npz")
+        _save_v2(unlabelled_index, path, labels=_pickled(unlabelled_index.graph.n_nodes))
+        with pytest.raises(ServingError, match="legacy format version 2.*re-publish"):
+            ReplicaPool(path, 1)
+        assert len(_UNPICKLED) == before
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_shard_pool_refuses_v3(self, unlabelled_index, tmp_path):
+        from repro.core import ShardedIndex
+        from repro.exceptions import ServingError
+        from repro.serving import ShardPool
+
+        before, children = len(_UNPICKLED), set(multiprocessing.active_children())
+        sharded = ShardedIndex.from_index(unlabelled_index, 2, partitioner="range")
+        path = str(tmp_path / "v3.npz")
+        _save_v3(sharded, path, labels=_pickled(unlabelled_index.graph.n_nodes))
+        with pytest.raises(ServingError, match="legacy format version 3.*re-publish"):
+            ShardPool(path)
+        assert len(_UNPICKLED) == before
+        assert set(multiprocessing.active_children()) <= children
+
+    def test_replica_pool_refuses_a_sharded_manifest(self, unlabelled_index, tmp_path):
+        from repro.core import ShardedIndex, save_sharded_index
+        from repro.exceptions import ServingError
+        from repro.serving import ReplicaPool
+
+        path = str(tmp_path / "v5.npz")
+        save_sharded_index(ShardedIndex.from_index(unlabelled_index, 2), path)
+        with pytest.raises(ServingError, match="ShardPool"):
+            ReplicaPool(path, 1)
