@@ -40,7 +40,7 @@ def undirected_view(graph: DiGraph) -> Tuple[Dict[Tuple[int, int], float], np.nd
         undirected edge weights (self-loops counted once).
     """
     weights = graph.to_undirected_weights()
-    strength = np.zeros(graph.n_nodes, dtype=np.float64)
+    strength = [0.0] * graph.n_nodes
     total = 0.0
     for (u, v), w in weights.items():
         total += w
@@ -49,7 +49,7 @@ def undirected_view(graph: DiGraph) -> Tuple[Dict[Tuple[int, int], float], np.nd
         else:
             strength[u] += w
             strength[v] += w
-    return weights, strength, total
+    return weights, np.array(strength, dtype=np.float64), total
 
 
 def modularity(graph: DiGraph, partition: Partition) -> float:

@@ -7,11 +7,33 @@ so equal clusterings compare equal regardless of label history.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
 from ..exceptions import InvalidParameterError
+
+
+def _integer_labels(assignment: Sequence[int]) -> np.ndarray:
+    """``assignment`` as int64, refusing any label that is not an integer value."""
+    raw = np.asarray(assignment)
+    if raw.ndim != 1:
+        raise InvalidParameterError("assignment must be one-dimensional")
+    if raw.dtype.kind in "biu":
+        return raw.astype(np.int64)
+    values = []
+    for node, label in enumerate(raw.tolist()):
+        try:
+            value = int(label)
+            exact = value == label and -(2**63) <= value < 2**63
+        except (TypeError, ValueError, OverflowError):
+            exact = False
+        if not exact:
+            raise InvalidParameterError(
+                f"community label {label!r} of node {node} is not a 64-bit integer value"
+            )
+        values.append(value)
+    return np.array(values, dtype=np.int64)
 
 
 class Partition:
@@ -21,25 +43,21 @@ class Partition:
     ----------
     assignment:
         Sequence of length ``n``; ``assignment[u]`` is the community of
-        node ``u``.  Labels may be arbitrary integers; they are renumbered
-        to ``0..k-1`` in order of first appearance.
+        node ``u``.  Labels may be arbitrary integers (integer-valued
+        floats included); they are renumbered to ``0..k-1`` in order of
+        first appearance.  Any other label raises
+        :class:`~repro.exceptions.InvalidParameterError`.
     """
 
     __slots__ = ("_assignment", "_k")
 
     def __init__(self, assignment: Sequence[int]) -> None:
-        raw = np.asarray(assignment, dtype=np.int64)
-        if raw.ndim != 1:
-            raise InvalidParameterError("assignment must be one-dimensional")
-        remap: Dict[int, int] = {}
-        normalized = np.empty_like(raw)
-        for i, label in enumerate(raw):
-            label = int(label)
-            if label not in remap:
-                remap[label] = len(remap)
-            normalized[i] = remap[label]
-        self._assignment = normalized
-        self._k = len(remap)
+        raw = _integer_labels(assignment)
+        _, first, inverse = np.unique(raw, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(first.size)
+        self._assignment = rank[inverse]
+        self._k = int(first.size)
 
     # ------------------------------------------------------------------
     @property

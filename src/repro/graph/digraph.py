@@ -391,10 +391,21 @@ class DiGraph:
         return g
 
     def copy(self) -> "DiGraph":
-        """Deep copy of the graph."""
+        """Deep copy of the graph.
+
+        The successor dicts are copied whole and the predecessor dicts
+        refilled from them in source order, so the copy iterates exactly
+        like one built by :meth:`add_edge` over :meth:`edges` (its
+        predecessors in ascending source id), without re-validating
+        each edge.
+        """
         g = DiGraph(self._n, labels=list(self.labels) if self.labels else None)
-        for u, v, w in self.edges():
-            g.add_edge(u, v, w)
+        g._succ = [succ.copy() for succ in self._succ]
+        pred = g._pred
+        for u, succ in enumerate(self._succ):
+            for v, w in succ.items():
+                pred[v][u] = w
+        g._m = self._m
         return g
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -20,6 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from ..community import Partition, louvain_communities
+from ..exceptions import GraphError
 from ..graph.digraph import DiGraph
 from .base import ReorderingStrategy
 from .permutation import Permutation
@@ -32,7 +33,13 @@ def border_partition(graph: DiGraph, partition: Partition) -> np.ndarray:
     label) is the border: a node lands there iff it has an in- or
     out-edge to a node of a different original community (Algorithm 2
     lines 3–6).  Nodes keep their Louvain community id otherwise.
+    A partition of another number of nodes raises
+    :class:`~repro.exceptions.GraphError`.
     """
+    if partition.n_nodes != graph.n_nodes:
+        raise GraphError(
+            f"partition covers {partition.n_nodes} nodes, graph has {graph.n_nodes}"
+        )
     assignment = partition.assignment.copy()
     border_id = partition.n_communities  # the "κ+1-th partition"
     crosses = np.zeros(graph.n_nodes, dtype=bool)

@@ -66,6 +66,49 @@ class TestPartition:
         with pytest.raises(ValueError):
             p.assignment[0] = 1
 
+    def test_normalisation_is_first_appearance(self):
+        labels = np.random.default_rng(4).integers(-50, 50, size=300)
+        first_seen = {}
+        expected = [first_seen.setdefault(int(c), len(first_seen)) for c in labels]
+        p = Partition(labels)
+        assert p.assignment.tolist() == expected
+        assert p.assignment.dtype == np.int64
+        assert p.n_communities == len(first_seen)
+
+    def test_empty(self):
+        p = Partition([])
+        assert p.n_nodes == 0 and p.n_communities == 0
+
+    def test_integer_valued_floats_accepted(self):
+        p = Partition(np.array([1.0, 2.0, 1.0]))
+        assert p.assignment.tolist() == [0, 1, 0]
+        assert Partition([True, False]).n_communities == 2
+
+    def test_fractional_labels_rejected(self):
+        # Truncating would merge 0.2 and 0.7 into one community.
+        with pytest.raises(InvalidParameterError, match="label 0.2 of node 0"):
+            Partition([0.2, 0.7])
+        with pytest.raises(InvalidParameterError, match="label 2.5 of node 1"):
+            Partition(np.array([1.0, 2.5]))
+
+    @pytest.mark.parametrize(
+        "labels,named",
+        [
+            (["a", "b"], "'a'"),
+            ([0.0, float("nan")], "nan"),
+            ([1.0, float("inf")], "inf"),
+            ([0, None], "None"),
+            ([0, 2**70], str(2**70)),
+        ],
+    )
+    def test_non_integer_labels_rejected(self, labels, named):
+        with pytest.raises(InvalidParameterError, match=f"label {named}"):
+            Partition(labels)
+
+    def test_must_be_one_dimensional(self):
+        with pytest.raises(InvalidParameterError, match="one-dimensional"):
+            Partition([[0, 1], [1, 0]])
+
 
 class TestModularity:
     def test_two_triangles_known_value(self):

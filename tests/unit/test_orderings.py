@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.exceptions import InvalidParameterError
+from repro.exceptions import GraphError, InvalidParameterError
 from repro.graph import DiGraph, column_normalized_adjacency, planted_partition_graph, star_graph
 from repro.ordering import (
     ClusterReordering,
@@ -16,7 +16,7 @@ from repro.ordering import (
     get_reordering,
 )
 from repro.ordering.cluster import border_partition
-from repro.community import louvain_communities
+from repro.community import Partition, louvain_communities
 
 
 class TestPermutation:
@@ -110,6 +110,13 @@ class TestClusterReordering:
         border_id = assignment.max()
         border_nodes = set(np.flatnonzero(assignment == border_id).tolist())
         assert border_nodes == {0, 20}
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_border_partition_rejects_other_sizes(self, size):
+        g = DiGraph(4)
+        g.add_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(GraphError, match=f"partition covers {size} nodes, graph has 4"):
+            border_partition(g, Partition([0] * size))
 
     def test_blocks_are_contiguous(self):
         g = planted_partition_graph([12, 12, 12], 0.5, 0.0, seed=4)
