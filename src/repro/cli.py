@@ -97,7 +97,7 @@ from typing import List, Optional
 
 from .core import KDash, load_index, save_index
 from .datasets import DATASET_NAMES, load_dataset
-from .exceptions import SerializationError
+from .exceptions import InvalidParameterError, NodeNotFoundError, SerializationError
 from .graph import graph_statistics, read_edge_list
 from .query.backends import (
     DEFAULT_BACKEND,
@@ -826,8 +826,8 @@ def _serve_pool(args, lines: List[str]) -> int:
         def tags() -> str:
             """The epoch, plus the shard plan's running fan-out and skip rate."""
             plan = (
-                f", fan-out {scheduler.mean_fan_out:.2f}, "
-                f"skip rate {scheduler.skip_rate:.2f}"
+                f", fan-out {scheduler.stats.mean_fan_out:.2f}, "
+                f"skip rate {scheduler.stats.skip_rate:.2f}"
                 if sharded
                 else ""
             )
@@ -1643,8 +1643,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return args.func(args)
-    except SerializationError as exc:  # an unreadable or unwritable archive
-        print(f"error: {exc}")
+    except (SerializationError, NodeNotFoundError, InvalidParameterError) as exc:
+        # An unreadable or unwritable archive, or a bad node id or k.
+        # args[0] is the message without the quotes str() of a KeyError adds.
+        print(f"error: {exc.args[0] if exc.args else exc}")
         return 2
 
 

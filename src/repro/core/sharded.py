@@ -277,8 +277,10 @@ def merge_candidates(
 ) -> float:
     """Fold ``(node, proximity)`` candidates into the canonical heap.
 
-    Returns the new θ (the heap minimum's proximity).  Used by the
-    gather side of the distributed plan to absorb one shard's reply.
+    Returns the new θ (the heap minimum's proximity).  Primes a shard
+    scan with the gather's running candidates
+    (:meth:`ShardedIndex.scan_request`) and gives the gather the θ of
+    each reply (:class:`~repro.query.planner.Gather`).
     """
     for node, proximity in items:
         heap_admit(heap, node, proximity)
@@ -324,7 +326,6 @@ def scan_shard_reference(
     y: np.ndarray,
     ymax: float,
     heap: List[Tuple[float, int, int]],
-    floor: float = 0.0,
 ) -> Tuple[int, int]:
     """The scalar reference shard scan — the exactness oracle.
 
@@ -345,8 +346,6 @@ def scan_shard_reference(
     computed = 0
     for b in sorted(range(len(bounds)), key=lambda b: (-bounds[b], b)):
         theta = heap[0][0]
-        if floor > theta:
-            theta = floor
         first = b * SCAN_BLOCK
         last = min(first + SCAN_BLOCK, len(nodes))
         checked += last - first
@@ -368,7 +367,6 @@ def scan_shard(
     y: np.ndarray,
     ymax: float,
     heap: List[Tuple[float, int, int]],
-    floor: float = 0.0,
     backend=None,
 ) -> Tuple[int, int]:
     """Scan one shard's members against the canonical heap, in place.
@@ -376,11 +374,11 @@ def scan_shard(
     Blocks of :data:`SCAN_BLOCK` members are visited in descending
     :func:`block_bounds` order (ties by block index); a visited block
     has every member's exact proximity offered to the heap.  The first
-    block whose bound drops below the cut-off certifies every later
-    block is out too (their bounds are no larger and θ only grows) —
-    the cross-shard Lemma 2 argument one level down.  ``floor`` is an
-    externally known θ (the gather side's running K-th proximity); the
-    cut-off is ``max(floor, heap minimum)``.
+    block whose bound drops below θ, the heap minimum, certifies every
+    later block is out too (their bounds are no larger and θ only
+    grows) — the cross-shard Lemma 2 argument one level down.  A heap
+    primed with candidates found elsewhere (see
+    :meth:`ShardedIndex.scan_request`) starts the scan at their θ.
 
     ``backend`` selects the kernel backend (name, backend object, or
     ``None`` for the ``REPRO_KERNEL_BACKEND`` environment default); all
@@ -394,7 +392,7 @@ def scan_shard(
     # for the reference loop above.
     from ..query.backends import get_backend
 
-    return get_backend(backend).scan_shard(shard, c, y, ymax, heap, floor)
+    return get_backend(backend).scan_shard(shard, c, y, ymax, heap)
 
 
 class ShardedIndex:
@@ -606,3 +604,37 @@ class ShardedIndex:
     ) -> List[float]:
         """Per-shard proximity upper bounds for one scattered seed column."""
         return [s.bound(self.c, rows, vals) for s in self.summaries]
+
+    def scan_request(
+        self,
+        y: np.ndarray,
+        shard_id: int,
+        query: int,
+        k: int,
+        candidates: Sequence[Tuple[int, float]] = (),
+        home: bool = False,
+        backend=None,
+    ):
+        """Scan shard ``shard_id`` for one query, from a primed heap.
+
+        Scatters the query's seed column into the all-zero workspace
+        ``y``, primes a canonical heap with the gather's running
+        ``candidates``, runs :func:`scan_shard` and clears ``y`` again.
+        A canonical heap evicts its dummies before any real entry, so
+        the primed heap holds exactly the gather's entries and the scan
+        prunes and admits under the gather's θ.  A ``home`` request also
+        contracts every shard's summary bound against the seed column.
+
+        Returns ``(items, bounds or None, n_checked, n_computed)``, the
+        reply :class:`~repro.query.planner.Gather` absorbs.
+        """
+        rows, vals = self.scatter_column(y, query)
+        ymax = float(vals.max()) if vals.size else 0.0
+        heap = canonical_heap(self.n, k)
+        merge_candidates(heap, candidates)
+        checked, computed = scan_shard(
+            self.shard(shard_id), self.c, y, ymax, heap, backend=backend
+        )
+        bounds = self.shard_bounds(rows, vals) if home else None
+        self.clear_rows(y, rows)
+        return heap_items(heap), bounds, checked, computed

@@ -99,7 +99,6 @@ class KernelBackend(Protocol):
         y: np.ndarray,
         ymax: float,
         heap: List[Tuple[float, int, int]],
-        floor: float = 0.0,
     ) -> Tuple[int, int]:
         """Scan one shard's members against the canonical heap in place.
         See :func:`repro.core.sharded.scan_shard` for the semantics."""

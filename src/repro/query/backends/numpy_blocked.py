@@ -602,7 +602,6 @@ class NumpyBlockedBackend:
         y: np.ndarray,
         ymax: float,
         heap: List[Tuple[float, int, int]],
-        floor: float = 0.0,
     ) -> Tuple[int, int]:
         """Block shard scan, bit-identical to the reference.
 
@@ -611,8 +610,8 @@ class NumpyBlockedBackend:
         Hölder cap and slack as :func:`~repro.core.sharded.block_bounds`.
         A block is a contiguous run of rows, so its proximities are one
         ``csr_matvec`` over a view of the shard's CSR; only members with
-        ``p >= θ_heap`` replay the scalar heap test (θ only grows, so
-        no other member can be admitted).
+        ``p >= θ`` replay the scalar heap test (θ only grows, so no
+        other member can be admitted).
         """
         nodes = shard.scan_nodes
         nm = len(nodes)
@@ -644,12 +643,7 @@ class NumpyBlockedBackend:
         checked = 0
         computed = 0
         for b in np.argsort(-bounds, kind="stable").tolist():
-            # Two cut-offs, as in the reference: blocks are pruned
-            # against max(floor, heap minimum), but admission compares
-            # only against the heap — a member below the floor can still
-            # enter it (the gather side re-merges under the global θ).
-            heap_theta = heap[0][0]
-            theta = floor if floor > heap_theta else heap_theta
+            theta = heap[0][0]
             first = b * SCAN_BLOCK
             last = min(first + SCAN_BLOCK, nm)
             checked += last - first
@@ -661,7 +655,7 @@ class NumpyBlockedBackend:
             csr_matvec(m, n, indptr[first : last + 1], indices, data, y, p)
             p *= c
             computed += m
-            for idx in np.flatnonzero(p >= heap_theta).tolist():
+            for idx in np.flatnonzero(p >= theta).tolist():
                 node = nodes[first + idx]
                 proximity = float(p[idx])
                 worst = heap[0]

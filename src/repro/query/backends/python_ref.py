@@ -216,11 +216,10 @@ class PythonReferenceBackend:
         y: np.ndarray,
         ymax: float,
         heap: List[Tuple[float, int, int]],
-        floor: float = 0.0,
     ) -> Tuple[int, int]:
         # Deferred import: repro.core.sharded's scan_shard dispatches
         # back into this registry, so the reference loop lives there
         # (next to the heap-discipline contract) and is bound lazily.
         from ...core.sharded import scan_shard_reference
 
-        return scan_shard_reference(shard, c, y, ymax, heap, floor)
+        return scan_shard_reference(shard, c, y, ymax, heap)

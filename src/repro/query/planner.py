@@ -1,18 +1,22 @@
 """Scatter-gather top-k planning over a sharded index.
 
-:class:`ScatterGatherPlanner` is the in-process realisation of the
-shard-level pruning contract (the multi-process version lives in
-:mod:`repro.serving.sharded` and follows exactly the same plan):
+The shard-level pruning contract is written once, as :class:`Gather`:
 
 1. **home first** — scan the shard owning the query node; its members
    hold most of the proximity mass on a well-partitioned graph, so the
    running K-th proximity θ rises as fast as possible;
 2. **descending bounds** — contract every other shard's
    :class:`~repro.core.sharded.ShardSummary` against the scattered seed
-   column and visit survivors in descending bound order;
+   column and visit survivors in descending bound order, each scan
+   starting from the gather's running candidates;
 3. **skip below θ** — the first shard whose bound falls below the
    running θ certifies (bounds are sorted, θ is monotone) that *every*
    remaining shard is out, the Lemma 2 argument one level up.
+
+:class:`ScatterGatherPlanner` drives a gather in process, with one
+:meth:`~repro.core.sharded.ShardedIndex.scan_request` per visited
+shard; :class:`~repro.serving.sharded.ShardedScheduler` drives the same
+gather over worker rounds, so both run one plan with the same counters.
 
 Because per-shard scans compute the same float dot products as the
 unified kernel and merge through the same canonical ``(proximity,
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, List, Optional
 
-from ..core.sharded import ShardedIndex, canonical_heap, heap_items
+from ..core.sharded import ShardedIndex, canonical_heap, merge_candidates
 from ..core.topk import TopKResult
 from ..exceptions import InvalidParameterError
 from ..validation import check_k, check_node_id
@@ -129,6 +133,89 @@ class PlannerStats:
             "escalated_queries": self.escalated_queries,
             "error_bound_max": self.error_bound_max,
         }
+
+
+class Gather:
+    """One query's home-first, bound-ordered gather over shard replies.
+
+    Built from the home shard's reply ``(items, bounds, checked,
+    computed)`` (see :meth:`~repro.core.sharded.ShardedIndex.scan_request`).
+    Its driver asks :meth:`next_shard` for the next shard, scans it from
+    :attr:`candidates` and hands the reply to :meth:`absorb`, until
+    :meth:`next_shard` returns ``None``; :meth:`result` and :meth:`plan`
+    then give the answer and its accounting.
+    """
+
+    __slots__ = (
+        "query", "k", "n", "candidates", "theta", "bounds", "order",
+        "cursor", "visited", "skipped", "checked", "computed",
+    )
+
+    def __init__(self, query: int, k: int, n: int, home: int, reply) -> None:
+        self.query, self.k, self.n = query, k, n
+        bounds = self.bounds = reply[1]
+        self.order = sorted(
+            (s for s in range(len(bounds)) if s != home),
+            key=lambda s: (-bounds[s], s),
+        )
+        self.cursor = 0
+        self.visited = 1
+        self.skipped = 0
+        self.checked = 0
+        self.computed = 0
+        self.absorb(reply)
+
+    def absorb(self, reply) -> None:
+        """Adopt a scanned shard's heap and add its counters.
+
+        The scan started from :attr:`candidates`, so its items are the
+        gather's running answer.
+        """
+        items, _, checked, computed = reply
+        self.candidates = items
+        self.theta = merge_candidates(canonical_heap(self.n, self.k), items)
+        self.checked += checked
+        self.computed += computed
+
+    def next_shard(self) -> Optional[int]:
+        """The next shard to visit, or ``None`` when the plan is done.
+
+        Shards come in descending bound order (ties by id).  At the
+        first bound below θ the whole sorted tail is skipped and counted:
+        bounds only fall and θ only rises.
+        """
+        if self.cursor >= len(self.order):
+            return None
+        if self.bounds[self.order[self.cursor]] < self.theta:
+            self.skipped += len(self.order) - self.cursor
+            self.cursor = len(self.order)
+            return None
+        self.cursor += 1
+        self.visited += 1
+        return self.order[self.cursor - 1]
+
+    def result(self) -> TopKResult:
+        """The gathered answer, ranked and padded like a single scan's."""
+        scan = ScanResult(
+            items=self.candidates,
+            n_visited=self.checked,
+            n_computed=self.computed,
+            n_pruned=self.n - self.computed,
+            terminated_early=self.computed < self.n,
+        )
+        return scan_to_topk(self.query, self.k, self.n, scan)
+
+    def plan(self, escalated: bool = False) -> PlanStats:
+        """This query's plan accounting."""
+        return PlanStats(
+            query=self.query,
+            k=self.k,
+            shards_visited=self.visited,
+            shards_skipped=self.skipped,
+            nodes_checked=self.checked,
+            nodes_computed=self.computed,
+            escalated=escalated,
+        )
 
 
 class ScatterGatherPlanner:
@@ -342,58 +429,24 @@ class ScatterGatherPlanner:
         if t0 is None:
             t0 = perf_counter()
         sharded = self._sharded  # _sync may have re-sharded
-        n = sharded.n
-        query = check_node_id(query, n, "query")
+        query = check_node_id(query, sharded.n, "query")
         k = check_k(k)
-
-        y = self._workspace
-        rows, vals = sharded.scatter_column(y, query)
-        ymax = float(vals.max()) if vals.size else 0.0
-        heap = canonical_heap(n, k)
-
+        y, backend = self._workspace, self._backend
         home = sharded.home_shard(query)
-        checked, computed = self._backend.scan_shard(
-            sharded.shard(home), sharded.c, y, ymax, heap
+        gather = Gather(
+            query, k, sharded.n, home,
+            sharded.scan_request(y, home, query, k, home=True, backend=backend),
         )
-        visited = 1
-
-        bounds = sharded.shard_bounds(rows, vals)
-        order = sorted(
-            (s for s in range(sharded.n_shards) if s != home),
-            key=lambda s: (-bounds[s], s),
-        )
-        skipped = 0
-        for rank, shard_id in enumerate(order):
-            if bounds[shard_id] < heap[0][0]:
-                # Bounds are descending and θ is monotone: every later
-                # shard is certified out as well.
-                skipped = len(order) - rank
-                break
-            shard_checked, shard_computed = self._backend.scan_shard(
-                sharded.shard(shard_id), sharded.c, y, ymax, heap
+        shard_id = gather.next_shard()
+        while shard_id is not None:
+            gather.absorb(
+                sharded.scan_request(
+                    y, shard_id, query, k, gather.candidates, backend=backend
+                )
             )
-            checked += shard_checked
-            computed += shard_computed
-            visited += 1
-        sharded.clear_rows(y, rows)
-
-        scan = ScanResult(
-            items=heap_items(heap),
-            n_visited=checked,
-            n_computed=computed,
-            n_pruned=n - computed,
-            terminated_early=computed < n,
-        )
-        result = scan_to_topk(int(query), k, n, scan)
-        plan = PlanStats(
-            query=int(query),
-            k=k,
-            shards_visited=visited,
-            shards_skipped=skipped,
-            nodes_checked=checked,
-            nodes_computed=computed,
-            escalated=escalated,
-        )
+            shard_id = gather.next_shard()
+        result = gather.result()
+        plan = gather.plan(escalated)
         self.last_plan = plan
         self.stats.record(plan, sharded.n_shards)
         if self.metrics.enabled:

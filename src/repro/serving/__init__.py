@@ -63,7 +63,6 @@ from .publisher import SnapshotPublisher
 from .replica import ReplicaPool
 from .router import (
     ConsistentHashRouter,
-    HomeShardRouter,
     ROUTER_NAMES,
     RoundRobinRouter,
     Router,
@@ -84,7 +83,6 @@ __all__ = [
     "Router",
     "RoundRobinRouter",
     "ConsistentHashRouter",
-    "HomeShardRouter",
     "make_router",
     "ROUTER_NAMES",
     "make_queries",

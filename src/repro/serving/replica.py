@@ -23,19 +23,25 @@ routing, the swap barrier) lives in
 
 Wire protocol (tuples, first element is the kind):
 
-===========  ===================================================  ===========
-direction    message                                              reply
-===========  ===================================================  ===========
-to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``   ``("results", wid, batch_id, [TopKResult, ...])``
-to shard     ``("home", batch_id, [(query, k), ...])``            ``("partial", wid, batch_id, [(items, bounds, checked, computed), ...])``
-to shard     ``("remote", batch_id, [(query, k, floor), ...])``   ``("candidates", wid, batch_id, [(items, checked, computed), ...])``
-to worker    ``("swap", epoch, path)``                            ``("swapped", wid, epoch)``
-to worker    ``("stats",)``                                       ``("stats", wid, stats_dict)``
-to worker    ``("metrics",)``                                     ``("metrics", wid, registry_snapshot)``
-to worker    ``("stop",)``                                        ``("stopped", wid, stats_dict)``
-from worker  at boot                                              ``("ready", wid, epoch)``
-from worker  on a crash                                           ``("error", wid, traceback_text)``
-===========  ===================================================  ===========
+===========  ========================================================  ===========
+direction    message                                                   reply
+===========  ========================================================  ===========
+to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``        ``("results", wid, batch_id, [TopKResult, ...])``
+to shard     ``("home", batch_id, [(query, k), ...])``                 ``("partial", wid, batch_id, [(items, bounds, checked, computed), ...])``
+to shard     ``("remote", batch_id, [(query, k, candidates), ...])``   ``("candidates", wid, batch_id, [(items, None, checked, computed), ...])``
+to worker    ``("swap", epoch, path)``                                 ``("swapped", wid, epoch)``
+to worker    ``("stats",)``                                            ``("stats", wid, stats_dict)``
+to worker    ``("metrics",)``                                          ``("metrics", wid, registry_snapshot)``
+to worker    ``("stop",)``                                             ``("stopped", wid, stats_dict)``
+from worker  at boot                                                   ``("ready", wid, epoch)``
+from worker  on a crash                                                ``("error", wid, traceback_text)``
+===========  ========================================================  ===========
+
+A ``remote`` request's ``candidates`` are the gather's running
+``(node, proximity)`` answer (at most ``k`` pairs); the worker primes
+its scan's heap with them, and both shard rounds reply with the
+scanned heap's items (see
+:meth:`~repro.core.sharded.ShardedIndex.scan_request`).
 
 A batch request with a third element ``prec`` carries a precision spec
 string (``"exact"``, ``"bounded(1e-06)"``, ``"best_effort(0.001)"``, see

@@ -106,40 +106,6 @@ class ConsistentHashRouter(Router):
         return owners[idx]
 
 
-class HomeShardRouter(Router):
-    """Partition-affinity routing: a query goes to its community's worker.
-
-    Built from a node→shard ``assignment`` (see
-    :func:`repro.core.sharded.shard_assignment`): queries whose roots
-    share a community land on the same worker, so one replica's LRU
-    cache and warm workspace absorb a whole community's traffic — the
-    replica-pool counterpart of the shard pool's home-shard routing
-    (which uses the assignment as the *ownership* map, not just an
-    affinity hint).  With more shards than workers, shards fold onto
-    workers round-robin by shard id.
-
-    Examples
-    --------
-    >>> r = HomeShardRouter([0, 0, 1, 1, 2])
-    >>> [r.route(q, 2) for q in (0, 1, 2, 4)]
-    [0, 0, 1, 0]
-    """
-
-    def __init__(self, assignment) -> None:
-        self._assignment = [int(s) for s in assignment]
-        if any(s < 0 for s in self._assignment):
-            raise InvalidParameterError(
-                "shard assignment must be non-negative shard ids"
-            )
-
-    def route(self, query: int, n_workers: int) -> int:
-        if not (0 <= query < len(self._assignment)):
-            raise InvalidParameterError(
-                f"query {query} outside the assignment's {len(self._assignment)} nodes"
-            )
-        return self._assignment[query] % n_workers
-
-
 def make_router(policy) -> Router:
     """Resolve a policy name (``"rr"`` / ``"hash"``) or pass through.
 

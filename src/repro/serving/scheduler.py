@@ -16,12 +16,13 @@ One scheduler serves both pools.  A **plan** is a table of rounds, each
 with the pool method that dispatches it and the reply kind that answers
 it: the replica plan is the single round ``batch``; the shard plan
 (:class:`~repro.serving.sharded.ShardedScheduler`) is a ``home`` round
-followed by θ-carrying ``remote`` rounds.  Everything around the plan
-is written once here — submit-time validation, per-round buffers and
-dispatch, reply absorption, drain, ordered results, the swap barrier,
-stats collection, the ``scheduler.query``/``scheduler.route`` spans and
-the dispatch metrics.  A plan supplies only its router, its first-round
-request, what one reply does, and its stats fold.
+followed by ``remote`` rounds that carry the gather's running
+candidates.  Everything around the plan is written once here —
+submit-time validation, per-round buffers and dispatch, reply
+absorption, drain, ordered results, the swap barrier, stats collection,
+the ``scheduler.query``/``scheduler.route`` spans and the dispatch
+metrics.  A plan supplies only its router, its first-round request,
+what one reply does, and its stats fold.
 
 Ordering contract: results are keyed by a monotone sequence number
 assigned at :meth:`~MicroBatchScheduler.submit`, and

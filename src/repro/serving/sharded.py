@@ -14,11 +14,17 @@ over processes:
    bound against the scattered seed column (it holds the manifest, so
    the bounds are one sparse dot each);
 2. the gather side sorts the surviving shards by descending bound and
-   visits them **one at a time**, micro-batched per worker, carrying
-   the running K-th proximity θ as the pruning floor;
+   visits them **one at a time**, micro-batched per worker; a remote
+   request carries the gather's running candidates, and the worker
+   scans from a heap primed with them, so it prunes under the running
+   K-th proximity θ;
 3. a shard whose bound falls below θ is **skipped** — and because
    bounds are sorted and θ only grows, every shard after it is skipped
    too.
+
+The gather itself is the planner's :class:`~repro.query.planner.Gather`,
+so the pool runs the in-process planner's plan exactly: the same
+answers, the same skips, the same scan counters.
 
 Both halves reuse the replica tier's machinery.  Shard workers run the
 one :func:`~repro.serving.replica.worker_main` loop with a
@@ -26,8 +32,8 @@ one :func:`~repro.serving.replica.worker_main` loop with a
 protocol table in :mod:`repro.serving.replica`.
 :class:`ShardedScheduler` is the
 :class:`~repro.serving.scheduler.MicroBatchScheduler` with a two-round
-plan: only the routing, the first-round request, the gather and the
-stats fold are written here.
+plan: only the routing, the first-round request, the gather's rounds
+and the stats fold are written here.
 
 Exactness contract: per-shard scans compute the identical float dot
 products as the single-index kernel and candidates merge through the
@@ -46,12 +52,11 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from ..core.index_io import load_sharded_index
-from ..core.sharded import canonical_heap, heap_items, merge_candidates, scan_shard
 from ..exceptions import ServingError
 from ..obs.metrics import MetricsRegistry
 from ..query.approx import PrecisionPolicy
 from ..query.backends import resolve_backend_name
-from ..query.kernel import ScanResult, scan_to_topk
+from ..query.planner import Gather, PlannerStats
 from .replica import (
     DEFAULT_TIMEOUT,
     ReplicaPool,
@@ -68,11 +73,12 @@ class ShardServer:
     """What a shard worker serves: scans of its own shard.
 
     Loads the manifest plus **only its own shard payload**.  Both rounds
-    run the same scan: a ``home`` request has no θ floor yet
-    (``floor=0.0``) and also returns every shard's summary bound, a
-    ``remote`` request carries the gather side's running θ as its floor.
+    run the same :meth:`~repro.core.sharded.ShardedIndex.scan_request`:
+    a ``home`` request starts from an empty heap and also returns every
+    shard's summary bound, a ``remote`` request starts from the gather's
+    running candidates.
 
-    ``scan_shard`` is the kernel-backend dispatcher: worker processes
+    The scan dispatches to the kernel backend: worker processes
     inherit ``REPRO_KERNEL_BACKEND`` from the parent, so one environment
     variable selects the backend for the whole shard pool (all backends
     are bit-identical; see :mod:`repro.query.backends`).  ``cache_size``
@@ -112,21 +118,6 @@ class ShardServer:
         self.sharded = load_sharded_index(path, only=[self.worker_id])
         self._y = self.sharded.workspace()
 
-    def _scan(self, query: int, k: int, floor: float, home: bool):
-        """Scan this shard for one request against the θ ``floor``; a
-        home scan also contracts every shard's summary bound against
-        the seed column."""
-        sharded, y = self.sharded, self._y
-        rows, vals = sharded.scatter_column(y, query)
-        ymax = float(vals.max()) if vals.size else 0.0
-        heap = canonical_heap(sharded.n, k)
-        checked, computed = scan_shard(
-            sharded.shard(self.worker_id), sharded.c, y, ymax, heap, floor=floor
-        )
-        bounds = sharded.shard_bounds(rows, vals) if home else None
-        sharded.clear_rows(y, rows)
-        return heap_items(heap), bounds, checked, computed
-
     def serve(self, kind: str, requests, ctxs):
         """Answer one ``home``/``remote`` batch, one scan per request; a
         traced request gets a ``worker.<kind>`` span with a
@@ -135,13 +126,13 @@ class ShardServer:
         replies, spans = [], []
         for i, request in enumerate(requests):
             t0 = perf_counter()
-            items, bounds, checked, computed = self._scan(
-                int(request[0]),
-                int(request[1]),
-                0.0 if home else float(request[2]),
-                home,
+            # (query, k) on a home request, (query, k, candidates) on
+            # a remote one.
+            reply = self.sharded.scan_request(
+                self._y, self.worker_id, *request, home=home
             )
             seconds = perf_counter() - t0
+            checked, computed = reply[2:]
             self._stats[f"{kind}_queries"] += 1
             self._stats["nodes_checked"] += checked
             self._stats["nodes_computed"] += computed
@@ -159,10 +150,7 @@ class ShardServer:
                         {"shard": self.worker_id}, seconds, leaf,
                     )
                 )
-            if home:
-                replies.append((items, bounds, checked, computed))
-            else:
-                replies.append((items, checked, computed))
+            replies.append(reply)
         return replies, spans
 
     def swap(self, path: str, epoch: int) -> None:
@@ -235,7 +223,7 @@ class ShardPool(ReplicaPool):
         self._send_batch("home", worker_id, batch_id, requests, ctxs)
 
     def submit_remote(self, worker_id: int, batch_id: int, requests, ctxs=None) -> None:
-        """Dispatch one remote-round micro-batch of ``(query, k, floor)``."""
+        """Dispatch one remote-round micro-batch of ``(query, k, candidates)``."""
         self._send_batch("remote", worker_id, batch_id, requests, ctxs)
 
 
@@ -248,58 +236,6 @@ class _HomeShard(Router):
 
     def route(self, query: int, n_workers: int) -> int:
         return self._pool.home_worker(query)
-
-
-class _Gather:
-    """Per-query gather state: the canonical heap plus the visit plan."""
-
-    __slots__ = (
-        "query",
-        "k",
-        "heap",
-        "order",
-        "bounds",
-        "cursor",
-        "visited",
-        "skipped",
-        "checked",
-        "computed",
-    )
-
-    def __init__(self, query: int, k: int, home: int, reply, n: int) -> None:
-        items, bounds, checked, computed = reply
-        self.query = query
-        self.k = k
-        self.heap = canonical_heap(n, k)
-        merge_candidates(self.heap, items)
-        self.bounds = bounds
-        self.order = sorted(
-            (s for s in range(len(bounds)) if s != home),
-            key=lambda s: (-bounds[s], s),
-        )
-        self.cursor = 0
-        self.visited = 1
-        self.skipped = 0
-        self.checked = checked
-        self.computed = computed
-
-    def next_shard(self) -> Optional[int]:
-        """The next shard to visit, or ``None`` when the plan is done.
-
-        Skips (and counts) the whole sorted tail as soon as the next
-        bound falls below θ — the cross-shard Lemma 2 argument.
-        """
-        if self.cursor >= len(self.order):
-            return None
-        theta = self.heap[0][0]
-        if self.bounds[self.order[self.cursor]] < theta:
-            self.skipped += len(self.order) - self.cursor
-            self.cursor = len(self.order)
-            return None
-        shard = self.order[self.cursor]
-        self.cursor += 1
-        self.visited += 1
-        return shard
 
 
 class ShardedScheduler(MicroBatchScheduler):
@@ -353,16 +289,9 @@ class ShardedScheduler(MicroBatchScheduler):
             registry=registry,
             tracer=tracer,
         )
-        self._gathers: Dict[int, _Gather] = {}
-        #: Lifetime plan accounting (feeds ``skip_rate`` / ``fan_out``).
-        self.queries_done = 0
-        self.shards_visited = 0
-        self.shards_skipped = 0
-        #: Non-exact requests served by escalation (no shard worker holds
-        #: the full-graph adjacency the CPI fast path multiplies by, so
-        #: the sharded tier answers every precision tier exactly and
-        #: counts the approximate ones as escalated).
-        self.escalated_queries = 0
+        self._gathers: Dict[int, Gather] = {}
+        #: Lifetime plan accounting, the planner's own.
+        self.stats = PlannerStats()
 
     # ------------------------------------------------------------------
     # The plan
@@ -370,91 +299,67 @@ class ShardedScheduler(MicroBatchScheduler):
     def _first_request(self, query: int, k: int, precision) -> tuple:
         """The exact home-round request, whatever the precision.
 
-        A ``bounded`` request gets a byte-identical exact answer and is
-        counted as escalated, and a ``best_effort`` request is promoted
-        to exact — never a looser answer than asked for.
+        No shard worker holds the full-graph adjacency the CPI fast path
+        multiplies by, so a ``bounded`` request gets a byte-identical
+        exact answer and is counted as escalated, and a ``best_effort``
+        request is promoted to exact — never a looser answer than asked
+        for.
         """
         if precision is not None and not PrecisionPolicy.resolve(precision).is_exact:
-            self.escalated_queries += 1
+            self.stats.escalated_queries += 1
         return (query, k)
 
     def _on_reply(
         self, round_: str, worker_id: int, seq: int, request: tuple, reply
     ) -> None:
         """Start (home) or advance (remote) the query's gather, then queue
-        its next shard or finalise it."""
+        its next shard with the running candidates or finalise it."""
         if round_ == "home":
-            gather = self._gathers[seq] = _Gather(
-                request[0], request[1], worker_id, reply, self.pool.n_nodes
+            gather = self._gathers[seq] = Gather(
+                request[0], request[1], self.pool.n_nodes, worker_id, reply
             )
         else:
             gather = self._gathers[seq]
-            items, checked, computed = reply
-            merge_candidates(gather.heap, items)
-            gather.checked += checked
-            gather.computed += computed
+            gather.absorb(reply)
         shard = gather.next_shard()
         if shard is None:
             self._finalise(seq, self._gathers.pop(seq))
         else:
             self._enqueue(
-                "remote", shard, seq, (gather.query, gather.k, gather.heap[0][0])
+                "remote", shard, seq, (gather.query, gather.k, gather.candidates)
             )
 
-    def _finalise(self, seq: int, gather: _Gather) -> None:
+    def _finalise(self, seq: int, gather: Gather) -> None:
         """Turn a finished gather into the query's result."""
-        n = self.pool.n_nodes
-        scan = ScanResult(
-            items=heap_items(gather.heap),
-            n_visited=gather.checked,
-            n_computed=gather.computed,
-            n_pruned=n - gather.computed,
-            terminated_early=gather.computed < n,
-        )
-        self.queries_done += 1
-        self.shards_visited += gather.visited
-        self.shards_skipped += gather.skipped
+        plan = gather.plan()
+        self.stats.record(plan, self.pool.n_workers)
         if self.metrics.enabled:
             self.metrics.counter(
                 "repro_sharded_queries_total", help="queries finalised"
             ).inc()
             self.metrics.counter(
                 "repro_sharded_shards_visited_total", help="shards scanned"
-            ).inc(gather.visited)
+            ).inc(plan.shards_visited)
             self.metrics.counter(
                 "repro_sharded_shards_skipped_total",
                 help="shards skipped by the cross-shard bound",
-            ).inc(gather.skipped)
+            ).inc(plan.shards_skipped)
+        result = gather.result()
         self._finish(
             seq,
-            scan_to_topk(gather.query, gather.k, n, scan),
+            result,
             {
-                "n_visited": gather.checked,
-                "n_computed": gather.computed,
-                "n_pruned": n - gather.computed,
-                "shards_visited": gather.visited,
-                "shards_skipped": gather.skipped,
+                "n_visited": result.n_visited,
+                "n_computed": result.n_computed,
+                "n_pruned": result.n_pruned,
+                "shards_visited": plan.shards_visited,
+                "shards_skipped": plan.shards_skipped,
             },
         )
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    @property
-    def skip_rate(self) -> float:
-        """Skipped share of possible non-home shard visits so far."""
-        possible = self.queries_done * max(self.pool.n_workers - 1, 0)
-        return (self.shards_skipped / possible) if possible else 0.0
-
-    @property
-    def mean_fan_out(self) -> float:
-        """Average shards scanned per completed query."""
-        return (
-            (self.shards_visited / self.queries_done)
-            if self.queries_done
-            else 0.0
-        )
-
     def aggregate_stats(self, per_worker: Sequence[dict]) -> dict:
         """Fold per-worker dicts plus the gather-side plan accounting."""
         total: Dict[str, object] = {
@@ -469,11 +374,12 @@ class ShardedScheduler(MicroBatchScheduler):
             for key in list(total)[1:]:  # every counter after "workers"
                 total[key] += stats[key]
         total["snapshot_epoch"] = _max_epoch(per_worker)
-        total["queries_served"] = self.queries_done
-        total["shards_visited"] = self.shards_visited
-        total["shards_skipped"] = self.shards_skipped
-        total["skip_rate"] = self.skip_rate
-        total["mean_fan_out"] = self.mean_fan_out
-        total["fast_path_queries"] = 0
-        total["escalated_queries"] = self.escalated_queries
+        plan = self.stats
+        total["queries_served"] = plan.queries
+        total["shards_visited"] = plan.shards_visited
+        total["shards_skipped"] = plan.shards_skipped
+        total["skip_rate"] = plan.skip_rate
+        total["mean_fan_out"] = plan.mean_fan_out
+        total["fast_path_queries"] = plan.fast_path_queries
+        total["escalated_queries"] = plan.escalated_queries
         return total

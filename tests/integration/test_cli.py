@@ -429,3 +429,42 @@ class TestShardedManifestRejection:
         out = capsys.readouterr().out
         assert "note: --sharded ignores --workers" in out
         assert "--router" in out
+
+
+class TestBadUserInput:
+    """An unknown node id or a non-positive k is a one-line message and
+    exit code 2, never a traceback, on single archives and manifests."""
+
+    @pytest.fixture(scope="class")
+    def archives(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("bad-input")
+        paths = {}
+        for kind, extra in (("single", []), ("sharded", ["--shards", "2"])):
+            paths[kind] = str(directory / f"{kind}.npz")
+            assert main([
+                "build", "--dataset", "Citation", "--scale", "0.05",
+                "--output", paths[kind], *extra,
+            ]) == 0
+        return paths
+
+    @pytest.mark.parametrize("kind", ["single", "sharded"])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--node", "999999"], "error: node 999999 does not exist ("),
+            (["--batch", "1,999999"], "error: node 999999 does not exist ("),
+            (["--node", "1", "--k", "0"], "error: K must be positive, got 0"),
+        ],
+    )
+    def test_query(self, archives, kind, args, message, capsys):
+        assert main(["query", "--index", archives[kind], *args]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(message)
+        assert "'" not in out
+
+    def test_update_node(self, archives, capsys):
+        assert main([
+            "update", "--index", archives["single"], "--add", "0:5",
+            "--node", "999999",
+        ]) == 2
+        assert "error: node 999999 does not exist (" in capsys.readouterr().out

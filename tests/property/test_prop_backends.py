@@ -12,8 +12,9 @@ across the three structural graph families × every query mode:
 - threshold (Definition 2 range queries) across loose and tight θ,
 - personalized multi-seed scans via ``seed_workspace``,
 - fixed-schedule scans (precomputed BFS trees),
-- shard scans (``scan_shard``) against ``scan_shard_reference``, also
-  on planted partitions whose shards span several scan blocks,
+- shard scans (``scan_shard``) against ``scan_shard_reference``, from
+  an empty heap and from one primed with the other shards' candidates,
+  also on planted partitions whose shards span several scan blocks,
 - the dynamic index in its pending-Woodbury-correction state and
   again after compaction.
 
@@ -28,7 +29,12 @@ from hypothesis import given, strategies as st
 from repro import DynamicKDash, KDash
 from repro.core import ShardedIndex
 from repro.core.bfs_tree import BFSTree
-from repro.core.sharded import canonical_heap, scan_shard_reference
+from repro.core.sharded import (
+    canonical_heap,
+    heap_items,
+    merge_candidates,
+    scan_shard_reference,
+)
 from repro.graph import (
     erdos_renyi_graph,
     grid_graph,
@@ -183,6 +189,9 @@ class TestShardScanDifferential:
         st.sampled_from((1, 2, 5)),
     )
     def test_shard_scans_bit_identical(self, graph, query_seed, n_shards):
+        """Each shard is scanned from an empty heap (a home request),
+        then once more from a heap primed with every other shard's
+        candidates (a remote request late in a gather)."""
         rng = np.random.default_rng(query_seed)
         n = graph.n_nodes
         index = KDash(graph, c=0.9).build()
@@ -191,27 +200,29 @@ class TestShardScanDifferential:
         query = int(rng.integers(n))
         rows, vals = sharded.scatter_column(y, query)
         ymax = float(vals.max()) if vals.size else 0.0
+        shards = [sharded.shard(s) for s in range(sharded.n_shards)]
+
+        def check(shard, heap, case):
+            heap_ref = list(heap)
+            want = scan_shard_reference(shard, sharded.c, y, ymax, heap_ref)
+            for name in CONTENDERS:
+                heap_got = list(heap)
+                got = get_backend(name).scan_shard(
+                    shard, sharded.c, y, ymax, heap_got
+                )
+                assert got == want, (name, shard.shard_id, case)
+                # Raw array order: the same heapreplace sequence.
+                assert heap_got == heap_ref, (name, shard.shard_id, case)
+            return heap_items(heap_ref)
+
         for k in k_values(n):
-            for floor in (0.0, 1e-4):
-                for shard_id in range(sharded.n_shards):
-                    shard = sharded.shard(shard_id)
-                    heap_ref = canonical_heap(n, k)
-                    want = scan_shard_reference(
-                        shard, sharded.c, y, ymax, heap_ref, floor
-                    )
-                    for name in CONTENDERS:
-                        heap_got = canonical_heap(n, k)
-                        got = get_backend(name).scan_shard(
-                            shard, sharded.c, y, ymax, heap_got, floor
-                        )
-                        assert got == want, (name, shard_id, k, floor)
-                        # Raw array order: the same heapreplace sequence.
-                        assert heap_got == heap_ref, (
-                            name,
-                            shard_id,
-                            k,
-                            floor,
-                        )
+            found = [check(s, canonical_heap(n, k), ("empty", k)) for s in shards]
+            for shard in shards:
+                primed = canonical_heap(n, k)
+                for other, items in zip(shards, found):
+                    if other is not shard:
+                        merge_candidates(primed, items)
+                check(shard, primed, ("primed", k))
         sharded.clear_rows(y, rows)
 
 

@@ -11,13 +11,15 @@ the comparison.  With ``$REPRO_KERNEL_BACKEND`` unset:
   only the ``python`` loop reads;
 - a seeded stream through each pool equals, bit for bit, the same
   stream through the ``python`` backend in process: items and scan
-  counters.
+  counters.  The shard pool and the planner drive one gather, so their
+  counters agree on any graph, including one where a scan that ignored
+  the gather's running candidates would compute more proximities.
 """
 
 import pytest
 
 from repro.core import DynamicKDash, KDash, load_sharded_index
-from repro.graph import erdos_renyi_graph, planted_partition_graph
+from repro.graph import erdos_renyi_graph, planted_partition_graph, scale_free_digraph
 from repro.obs import Tracer
 from repro.query import QueryEngine, ScatterGatherPlanner
 from repro.query.backends import ENV_VAR
@@ -89,12 +91,10 @@ def test_replica_pool_scans_numpy_and_matches_the_oracle(tmp_path):
     assert answers(got) == answers(want)
 
 
-def test_shard_pool_scans_numpy_and_matches_the_oracle(tmp_path):
+def check_shard_pool(tmp_path, graph, n_shards):
     queries = make_queries(N, 60, "uniform", seed=12)
     tracer = Tracer()
-    snapshot = publish(
-        tmp_path, sharded_graph(), 0.95, shard_spec=(N_COMMUNITIES, "louvain")
-    )
+    snapshot = publish(tmp_path, graph, 0.95, shard_spec=(n_shards, "louvain"))
     with ShardPool(snapshot) as pool:
         scheduler = ShardedScheduler(pool, batch_size=8, tracer=tracer)
         got = scheduler.run(queries, k=5)
@@ -103,5 +103,15 @@ def test_shard_pool_scans_numpy_and_matches_the_oracle(tmp_path):
     # process: items and the plan's summed scan counters.
     planner = ScatterGatherPlanner(load_sharded_index(snapshot.path), backend="python")
     assert answers(got) == answers(planner.top_k_many(queries, 5))
-    want = oracle_engine(sharded_graph(), 0.95).top_k_many(queries, 5)
+    want = oracle_engine(graph, 0.95).top_k_many(queries, 5)
     assert [r.items for r in got] == [r.items for r in want]
+
+
+def test_shard_pool_scans_numpy_and_matches_the_oracle(tmp_path):
+    check_shard_pool(tmp_path, sharded_graph(), N_COMMUNITIES)
+
+
+def test_shard_pool_counters_match_the_planner_on_a_scale_free_graph(tmp_path):
+    """Remote scans prune under the gather's θ: on this graph a scan
+    from an empty heap computes more proximities than the planner."""
+    check_shard_pool(tmp_path, scale_free_digraph(N, 240, seed=1), 2)

@@ -5,7 +5,6 @@ import pytest
 from repro.exceptions import InvalidParameterError
 from repro.serving import (
     ConsistentHashRouter,
-    HomeShardRouter,
     RoundRobinRouter,
     Router,
     make_router,
@@ -56,42 +55,6 @@ class TestConsistentHash:
     def test_bad_replica_count_rejected(self):
         with pytest.raises(InvalidParameterError):
             ConsistentHashRouter(replicas=0)
-
-
-class TestHomeShard:
-    def test_routes_by_assignment(self):
-        router = HomeShardRouter([0, 0, 1, 1, 2, 2])
-        assert [router.route(q, 3) for q in range(6)] == [0, 0, 1, 1, 2, 2]
-
-    def test_community_members_share_a_worker(self):
-        from repro.core import shard_assignment
-        from repro.graph import planted_partition_graph
-
-        graph = planted_partition_graph([10] * 3, 0.4, 0.02, directed=True, seed=2)
-        assignment = shard_assignment(graph, 3, partitioner="louvain")
-        router = HomeShardRouter(assignment)
-        for start in (0, 10, 20):
-            workers = {router.route(q, 3) for q in range(start, start + 10)}
-            assert len(workers) == 1
-
-    def test_folds_onto_fewer_workers(self):
-        router = HomeShardRouter([0, 1, 2, 3])
-        assert [router.route(q, 2) for q in range(4)] == [0, 1, 0, 1]
-
-    def test_rejects_negative_assignment(self):
-        with pytest.raises(InvalidParameterError, match="non-negative"):
-            HomeShardRouter([0, -1])
-
-    def test_rejects_out_of_range_query(self):
-        router = HomeShardRouter([0, 1])
-        with pytest.raises(InvalidParameterError, match="outside"):
-            router.route(5, 2)
-
-    def test_usable_with_replica_scheduler(self):
-        """make_router passes instances through, so a HomeShardRouter can
-        drive the plain replica-pool scheduler as an affinity policy."""
-        router = HomeShardRouter([0, 1])
-        assert make_router(router) is router
 
 
 class TestFactory:

@@ -169,6 +169,45 @@ class TestCanonicalHeapHelpers:
         assert theta == 0.4
 
 
+class TestScanRequest:
+    @pytest.fixture(scope="class")
+    def sharded(self, clustered_index):
+        return ShardedIndex.from_index(clustered_index, 4, partitioner="louvain")
+
+    def test_home_request_returns_bounds_and_clears_the_workspace(self, sharded):
+        y = sharded.workspace()
+        items, bounds, checked, computed = sharded.scan_request(
+            y, sharded.home_shard(7), 7, 5, home=True
+        )
+        assert len(items) == 5 and len(bounds) == sharded.n_shards
+        assert 0 < computed <= checked
+        assert not y.any()
+        remote = sharded.scan_request(y, (sharded.home_shard(7) + 1) % 4, 7, 5, items)
+        assert remote[1] is None
+
+    @pytest.mark.parametrize("k", [1, 5, 60])
+    def test_primed_request_continues_the_running_heap(self, sharded, k):
+        """Priming with the home scan's items equals scanning on in the
+        home scan's own heap: dummies are evicted before real entries."""
+        y = sharded.workspace()
+        query = 20
+        home = sharded.home_shard(query)
+        home_items = sharded.scan_request(y, home, query, k, home=True)[0]
+        for other in range(sharded.n_shards):
+            if other == home:
+                continue
+            rows, vals = sharded.scatter_column(y, query)
+            heap = canonical_heap(sharded.n, k)
+            scan_shard(sharded.shard(home), sharded.c, y, float(vals.max()), heap)
+            want = scan_shard(
+                sharded.shard(other), sharded.c, y, float(vals.max()), heap
+            )
+            sharded.clear_rows(y, rows)
+            got = sharded.scan_request(y, other, query, k, home_items)
+            assert got[2:] == want
+            assert sorted(got[0]) == sorted(heap_items(heap))
+
+
 class TestScatterGatherPlanner:
     def test_matches_engine_on_er_graph(self, er_graph):
         index = KDash(er_graph, c=0.9).build()
