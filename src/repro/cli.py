@@ -8,7 +8,7 @@ Commands
 ``build``
     Build a K-dash index for a dataset (or an edge-list file) and save
     it to disk — as a single archive, or, with ``--shards N
-    --partitioner {louvain,range}``, as a format-v5 sharded manifest
+    --partitioner {louvain,range}``, as a format-v6 sharded manifest
     plus one payload file per shard.
 ``query``
     Load a saved index and run a top-k query — one node (``--node``) or
@@ -104,6 +104,7 @@ from .query.backends import (
     ENV_VAR as _BACKEND_ENV_VAR,
     available_backends,
 )
+from .validation import check_k, check_node_id
 
 _EXPERIMENTS = (
     "fig2",
@@ -192,7 +193,7 @@ def _reject_sharded_index(path: str, command: str) -> Optional[int]:
     ``None`` when the command can proceed on a single-index archive."""
     if _is_sharded_archive(path):
         print(
-            f"error: {path} is a sharded (format-v3 or format-v5) manifest; "
+            f"error: {path} is a sharded (format-v3, v5 or v6) manifest; "
             f"'{command}' needs a single-index archive — build one without "
             "--shards, then re-shard at serve time with --sharded --shards N"
         )
@@ -361,6 +362,10 @@ def _cmd_update(args) -> int:
     if code is not None:
         return code
     index = load_index(args.index)
+    if args.node is not None:
+        # Before the batch: a bad id or k applies nothing and writes nothing.
+        check_node_id(args.node, index.graph.n_nodes, "node")
+        check_k(args.k)
     engine = QueryEngine(DynamicKDash.from_index(index, rebuild_threshold=None))
     try:
         report = engine.apply_updates(inserts, deletes)
@@ -1196,10 +1201,12 @@ def _print_saturation_table(reports) -> None:
 
 def _cmd_metrics(args) -> int:
     """The ``metrics`` path: render a metrics JSON artifact for humans
-    (table) or scrapers (Prometheus text exposition format)."""
-    import json
+    (table) or scrapers (Prometheus text exposition format).
 
-    from .obs import MetricsRegistry, read_metrics_json, to_prometheus
+    A reader that closes the pipe early (``repro metrics … | head``) is
+    a normal end: exit 0, nothing on stderr.
+    """
+    from .obs import MetricsRegistry, read_metrics_json
 
     try:
         payload = read_metrics_json(args.input)
@@ -1207,9 +1214,26 @@ def _cmd_metrics(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: cannot read metrics file {args.input!r}: {exc}")
         return 2
-    if args.format == "prometheus":
+    try:
+        _print_metrics(payload, registry, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: send that to
+        # /dev/null instead of raising a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
+
+
+def _print_metrics(payload: dict, registry, fmt: str) -> None:
+    """Print ``registry`` as a table (with ``payload``'s metadata) or
+    as Prometheus text."""
+    import json
+
+    from .obs import to_prometheus
+
+    if fmt == "prometheus":
         print(to_prometheus(registry), end="")
-        return 0
+        return
     meta = {k: v for k, v in payload.items() if k != "metrics"}
     if meta:
         print(f"metadata: {json.dumps(meta, sort_keys=True)}")
@@ -1237,7 +1261,6 @@ def _cmd_metrics(args) -> int:
             )
     if not (counters or gauges or histograms):
         print("(empty registry)")
-    return 0
 
 
 def _cmd_experiment(args) -> int:
@@ -1354,7 +1377,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="split the built index into this many shards and save a "
-        "format-v5 manifest (0 = single v4 archive)",
+        "format-v6 manifest (0 = single v4 archive)",
     )
     p_build.add_argument(
         "--partitioner",

@@ -12,7 +12,7 @@
   bound-prunable shards (Louvain or range partitions) for the
   scatter-gather tier;
 - :mod:`repro.core.index_io` — index persistence (v1/v2/v4 single-index
-  archives, v3/v5 sharded manifests).
+  archives, v3/v5/v6 sharded manifests).
 
 All query modes execute on the single
 :func:`~repro.query.kernel.pruned_scan` kernel in :mod:`repro.query`,

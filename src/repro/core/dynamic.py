@@ -337,7 +337,7 @@ class DynamicKDash:
     def _w_inverse_product(self, vec_perm: np.ndarray) -> np.ndarray:
         """``W^-1 x`` in permuted coordinates via the stored inverses."""
         base = self._base
-        return base._u_inv_scipy @ (base._l_inv_scipy @ vec_perm)
+        return base._u_inv.matvec(base._l_inv.matvec(vec_perm))
 
     def _current_column(self, u: int) -> np.ndarray:
         """Column ``u`` of the *current* transition matrix, dense.

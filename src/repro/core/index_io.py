@@ -16,8 +16,8 @@ CRC, a truncated or missing member, a malformed header) raises
 :class:`~repro.exceptions.SerializationError` naming the file and the
 member.
 
-Five format versions exist; the writers emit v4 and v5, the loaders
-read all five:
+Six format versions exist; the writers emit v4 and v6, the loaders
+read all six:
 
 - **v1** stored only the factor state; loading re-derived every
   query-invariant cache (successor lists, per-query proximity mass, the
@@ -48,11 +48,20 @@ read all five:
   members, names and numeric dtypes, stored instead of deflated, with
   ``labels`` as fixed-width unicode (empty when the graph is
   unlabelled).
-- **v5** (current sharded format, :func:`save_sharded_index`) is v3
-  the same way: stored members, with ``labels`` and ``shard_files`` as
-  fixed-width unicode.
+- **v5** is v3 the same way: stored members, with ``labels`` and
+  ``shard_files`` as fixed-width unicode.
+- **v6** (current sharded format, :func:`save_sharded_index`) moves
+  ``L^-1`` out of the manifest and into the shard payloads: each
+  payload also holds its members' ``L^-1`` columns, as a CSC triple
+  (``l_inv_indptr``/``l_inv_indices``/``l_inv_data``) over the
+  ascending ``members``.  The manifest also drops ``position`` and
+  ``total_mass_perm``, which no shard scan reads; no manifest member
+  is then O(nnz(L^-1)), and a shard worker's ``only={i}`` load holds
+  only its own members' seed columns.  A v3 or v5 manifest's ``L^-1``
+  is split by home shard (through its ``position``) as it loads, so
+  every version loads into the one in-memory layout.
 
-No v4/v5 member has object dtype, so both load with
+No v4–v6 member has object dtype, so they load with
 ``allow_pickle=False``, and an object member in one is refused with a
 ``SerializationError`` before anything is unpickled.  v1–v3 were
 written deflated, with their ``labels`` (and a v3 manifest's
@@ -60,8 +69,8 @@ written deflated, with their ``labels`` (and a v3 manifest's
 pickle any loader still reads, and no serving pool accepts a v1–v3
 snapshot.
 
-Whether a version is sharded (v3, v5) or a single index (v1, v2, v4)
-is decided here, by :func:`is_sharded_version`.  v1 archives load
+Whether a version is sharded (v3, v5, v6) or a single index (v1, v2,
+v4) is decided here, by :func:`is_sharded_version`.  v1 archives load
 transparently (their caches are rebuilt on load); archives from
 *future* versions are rejected with a clear
 :class:`~repro.exceptions.SerializationError` instead of a numpy
@@ -92,15 +101,18 @@ from ..graph.digraph import DiGraph
 from ..ordering.permutation import Permutation
 from ..sparse import CSCMatrix, CSRMatrix
 from .kdash import KDash
-from .sharded import ShardIndex, ShardSummary, ShardedIndex
+from .sharded import ShardIndex, ShardSummary, ShardedIndex, member_columns
 
 #: The versions :func:`save_index` and :func:`save_sharded_index` write.
 _FORMAT_VERSION = 4
-_SHARDED_FORMAT_VERSION = 5
+_SHARDED_FORMAT_VERSION = 6
 
 #: Every readable version, by layout.
 _SINGLE_VERSIONS = (1, 2, 4)
-_SHARDED_VERSIONS = (3, 5)
+_SHARDED_VERSIONS = (3, 5, 6)
+
+#: Sharded versions whose manifest holds all of ``L^-1``.
+_MANIFEST_L_INV_VERSIONS = (3, 5)
 
 #: Versions whose object members (labels, a v3 manifest's shard_files)
 #: are pickled.
@@ -121,9 +133,9 @@ _MEMBER_ERRORS = (
 
 
 def is_sharded_version(version: int) -> bool:
-    """Whether format ``version`` is a sharded manifest (v3, v5), to load
-    with :func:`load_sharded_index`, rather than a single-index archive
-    (v1, v2, v4) for :func:`load_index`."""
+    """Whether format ``version`` is a sharded manifest (v3, v5, v6), to
+    load with :func:`load_sharded_index`, rather than a single-index
+    archive (v1, v2, v4) for :func:`load_index`."""
     return version in _SHARDED_VERSIONS
 
 
@@ -365,8 +377,8 @@ def _restore_index(archive: _Archive, version: int) -> KDash:
         )
     else:
         # v1 archive: rebuild the query-path acceleration structures
-        # (scipy copies, successor lists, total proximity mass,
-        # PreparedIndex) exactly as build() does.  Sets index._built.
+        # (successor lists, total proximity mass, PreparedIndex) exactly
+        # as build() does.  Sets index._built.
         index._finalise_query_path()
     return index
 
@@ -407,7 +419,7 @@ def _atomic_savez(path: str, **arrays) -> None:
 
 
 def save_sharded_index(sharded: ShardedIndex, path: str) -> list:
-    """Serialise a :class:`~repro.core.sharded.ShardedIndex` (format v5).
+    """Serialise a :class:`~repro.core.sharded.ShardedIndex` (format v6).
 
     Writes the shard payload files first and the manifest **last**, each
     through an atomic same-directory rename: a reader that can open the
@@ -445,6 +457,9 @@ def save_sharded_index(sharded: ShardedIndex, path: str) -> list:
                 row_indptr=np.asarray(payload.row_indptr, dtype=np.int64),
                 row_indices=payload.row_indices,
                 row_data=payload.row_data,
+                l_inv_indptr=payload.l_inv_indptr,
+                l_inv_indices=payload.l_inv_indices,
+                l_inv_data=payload.l_inv_data,
             )
             shard_files.append(os.path.basename(shard_path))
             written.append(shard_path)
@@ -472,11 +487,6 @@ def _write_manifest(manifest_path, sharded, shard_files, labels) -> None:
         partitioner=sharded.partitioner,
         shard_seed=sharded.seed,
         assignment=sharded.assignment,
-        position=np.asarray(sharded.position, dtype=np.int64),
-        l_inv_indptr=sharded.l_inv.indptr,
-        l_inv_indices=sharded.l_inv.indices,
-        l_inv_data=sharded.l_inv.data,
-        total_mass_perm=sharded.total_mass_perm,
         shard_files=np.asarray(shard_files, dtype=str),
         summary_n_members=np.asarray(
             [s.n_members for s in sharded.summaries], dtype=np.int64
@@ -501,8 +511,9 @@ def load_sharded_index(
 ) -> ShardedIndex:
     """Load a sharded manifest written by :func:`save_sharded_index`.
 
-    Reads format v5, and legacy v3 (whose ``labels`` and
-    ``shard_files`` are the only members unpickled).
+    Reads format v6, v5 and legacy v3 (whose ``labels`` and
+    ``shard_files`` are the only members unpickled).  A v3 or v5
+    manifest's ``L^-1`` is split into the loaded shards' columns.
 
     Parameters
     ----------
@@ -510,10 +521,10 @@ def load_sharded_index(
         The manifest archive.
     only:
         Shard ids whose payload files to load; every other entry of
-        ``ShardedIndex.shards`` stays ``None`` (manifest-only).  A shard
-        worker passes its own id; the default loads everything, which is
-        what an in-process :class:`~repro.query.planner.ScatterGatherPlanner`
-        needs.
+        ``ShardedIndex.shards`` stays ``None`` (manifest-only), and so
+        do its members' seed columns.  A shard worker passes its own id;
+        the default loads everything, which is what an in-process
+        :class:`~repro.query.planner.ScatterGatherPlanner` needs.
 
     Raises
     ------
@@ -554,12 +565,10 @@ def _restore_sharded(
                 f"manifest {path!r} has {n_shards} shards; requested "
                 f"shard ids {sorted(bad)} do not exist"
             )
-    l_inv = CSCMatrix(
-        (n, n),
-        manifest["l_inv_indptr"],
-        manifest["l_inv_indices"],
-        manifest["l_inv_data"],
-    )
+    l_inv = position = None
+    if version in _MANIFEST_L_INV_VERSIONS:
+        l_inv = CSCMatrix((n, n), *_l_inv_triple(manifest))
+        position = np.asarray(manifest["position"], dtype=np.int64)
     colmax = np.asarray(manifest["summary_colmax"], dtype=np.float64)
     n_members = manifest["summary_n_members"]
     rownorm_max = manifest["summary_rownorm_max"]
@@ -585,24 +594,37 @@ def _restore_sharded(
         if only_set is not None and shard_id not in only_set:
             shards.append(None)
             continue
-        shards.append(_load_shard(path, directory, shard_files[shard_id], shard_id))
+        shards.append(
+            _load_shard(
+                path, directory, shard_files[shard_id], shard_id, l_inv, position
+            )
+        )
     return ShardedIndex(
         n=n,
         c=float(manifest["c"]),
         assignment=manifest["assignment"],
         partitioner=str(manifest["partitioner"]),
         seed=int(manifest["shard_seed"]),
-        position=np.asarray(manifest["position"], dtype=np.int64).tolist(),
-        l_inv=l_inv,
-        total_mass_perm=manifest["total_mass_perm"],
         shards=shards,
         summaries=summaries,
         labels=_read_labels(manifest, version),
     )
 
 
-def _load_shard(path: str, directory: str, filename: str, shard_id: int) -> ShardIndex:
-    """Shard ``shard_id``'s payload, named ``filename`` by manifest ``path``."""
+def _l_inv_triple(archive: _Archive) -> tuple:
+    """The ``l_inv_indptr``/``l_inv_indices``/``l_inv_data`` members."""
+    return tuple(archive[f"l_inv_{part}"] for part in ("indptr", "indices", "data"))
+
+
+def _load_shard(
+    path: str, directory: str, filename: str, shard_id: int, l_inv, position
+) -> ShardIndex:
+    """Shard ``shard_id``'s payload, named ``filename`` by manifest ``path``.
+
+    ``l_inv`` is a v3/v5 manifest's ``L^-1``, whose columns
+    ``position[members]`` become the shard's seed columns; ``None``
+    reads them from a v6 payload.
+    """
     shard_path = os.path.join(directory, filename)
     if not os.path.exists(shard_path):
         raise SerializationError(
@@ -623,12 +645,18 @@ def _load_shard(path: str, directory: str, filename: str, shard_id: int) -> Shar
                 f"shard file {shard_path!r} carries shard id "
                 f"{stored_id}, expected {shard_id}"
             )
+        members = payload["members"]
+        if l_inv is None:
+            columns = _l_inv_triple(payload)
+        else:
+            columns = member_columns(l_inv, position[members])
         return ShardIndex(
             shard_id,
-            payload["members"],
+            members,
             payload["scan_nodes"].tolist(),
             payload["scan_norms"].tolist(),
             payload["row_indptr"],
             payload["row_indices"],
             payload["row_data"],
+            *columns,
         )

@@ -188,10 +188,10 @@ class KDash:
         Called at the end of :meth:`build` and by
         :func:`repro.core.index_io.load_index`.  Requires ``_perm``,
         ``_l_inv``, ``_u_inv``, ``_amax_col``, ``_amax`` and ``_diag``;
-        produces the scipy copies, the exact per-query proximity mass,
-        and the :class:`~repro.query.prepared.PreparedIndex` that makes
-        per-query setup O(1) — all ``tolist()`` conversions and the
-        ``c'`` computation happen exactly once, here.
+        produces the exact per-query proximity mass and the
+        :class:`~repro.query.prepared.PreparedIndex` that makes per-query
+        setup O(1) — all ``tolist()`` conversions and the ``c'``
+        computation happen exactly once, here.
 
         ``succ_lists`` / ``total_mass_perm`` let a version-2 snapshot
         load (:func:`repro.core.index_io.load_index`) hand the persisted
@@ -199,12 +199,6 @@ class KDash:
         two triangular products they would otherwise cost.
         """
         n = self.graph.n_nodes
-        # scipy copies for vectorised full-vector products: U^-1 (CSR)
-        # feeds the prune=False ablation and proximity_column; L^-1
-        # (CSC) feeds the dynamic-update wrapper.
-        self._u_inv_scipy = self._u_inv.to_scipy()
-        self._l_inv_scipy = self._l_inv.to_scipy()
-
         # Successor lists for the lazy BFS of the query loop, as
         # plain-Python mirrors: at the typical out-degrees of real
         # graphs (<~10), list iteration beats numpy slicing by a wide
@@ -224,9 +218,13 @@ class KDash:
         # nodes; using the exact value keeps the bound valid and tight
         # (see ProximityEstimator docs).  The 1e-12 cushion absorbs
         # floating-point underestimation; the clamp keeps it a probability.
+        # The full-vector products here and in proximity_column, the
+        # prune=False ablation and DynamicKDash run scipy's kernels on
+        # the index's own arrays (CSRMatrix/CSCMatrix matvec), so no
+        # scipy copy of either inverse is ever held.
         if total_mass_perm is None:
             ones = np.ones(n, dtype=np.float64)
-            column_sums = self._l_inv_scipy.T @ (self._u_inv_scipy.T @ ones)
+            column_sums = self._l_inv.rmatvec(self._u_inv.rmatvec(ones))
             total_mass_perm = np.minimum(1.0, self.c * column_sums + 1e-12)
         self._total_mass_perm = np.asarray(total_mass_perm, dtype=np.float64)
 
@@ -309,13 +307,12 @@ class KDash:
     def proximity_column(self, query: int) -> np.ndarray:
         """The full exact proximity vector for ``query``, original order.
 
-        Vectorised through the scipy copy of ``U^-1``; used by tests and
-        the no-pruning ablation.
+        One ``U^-1`` matvec; used by tests and the no-pruning ablation.
         """
         self._require_built()
         query = check_node_id(query, self.graph.n_nodes, "query")
         y = self._query_workspace(query)
-        permuted = self.c * (self._u_inv_scipy @ y)
+        permuted = self.c * self._u_inv.matvec(y)
         return self._perm.unpermute_vector(permuted)
 
     def top_k(
@@ -493,7 +490,7 @@ class KDash:
         self, query: int, k: int, tree: BFSTree, y: np.ndarray
     ) -> TopKResult:
         """The prune=False ablation: evaluate every scheduled node."""
-        permuted = self.c * (self._u_inv_scipy @ y)
+        permuted = self.c * self._u_inv.matvec(y)
         full = self._perm.unpermute_vector(permuted)
         pairs = [(int(u), float(full[u])) for u in tree.order]
         ranked = rank_items(pairs, k)

@@ -37,11 +37,17 @@ canonical ``(proximity, -node)`` heap discipline shared with the kernel
 makes tie resolution order-independent, which is what lets per-shard
 candidates merge into the exact same top-k set.
 
-The shard payloads are what the serving tier distributes: format-v5
+The seed side is split the same way: each shard also carries its
+members' ``L^-1`` columns, so the seed column of a query lives in its
+home shard's payload.  A home scan returns that column with its reply,
+and every remote scan of the query scatters the column it is handed
+(:meth:`ShardedIndex.scan_request`).
+
+The shard payloads are what the serving tier distributes: format-v6
 archives (:mod:`repro.core.index_io`) persist one manifest (shared
 state + summaries) plus one file per shard, and each
 :class:`~repro.serving.sharded.ShardPool` worker loads the manifest and
-only its own shard.
+only its own shard: its members' ``U^-1`` rows and ``L^-1`` columns.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import _sparsetools as _st
 
 from ..community import louvain_communities
 from ..exceptions import InvalidParameterError
@@ -153,7 +160,8 @@ class ShardSummary:
 
 
 class ShardIndex:
-    """One shard's scan payload: its members' ``U^-1`` rows, pre-ordered.
+    """One shard's payload: its members' ``U^-1`` rows, pre-ordered, and
+    their ``L^-1`` columns.
 
     ``scan_nodes`` holds the member node ids sorted by descending
     ``U^-1`` row 1-norm (ties by ascending id), ``row_indptr`` /
@@ -161,6 +169,11 @@ class ShardIndex:
     that order — each row slice copied *verbatim* from the global
     ``U^-1`` CSR so the per-node dot product reproduces the unified
     kernel's float result bit-for-bit.
+
+    ``l_inv_indptr`` / ``l_inv_indices`` / ``l_inv_data`` are the CSC
+    triple of the members' seed columns ``L^-1[:, position[u]]``, one
+    per entry of the ascending ``members``, again copied verbatim (see
+    :func:`member_columns`).
 
     ``block_indptr`` / ``block_indices`` / ``block_data`` are derived
     from those rows, not stored: one CSR row per block of
@@ -176,6 +189,9 @@ class ShardIndex:
         "row_indptr",
         "row_indices",
         "row_data",
+        "l_inv_indptr",
+        "l_inv_indices",
+        "l_inv_data",
         "block_indptr",
         "block_indices",
         "block_data",
@@ -191,6 +207,9 @@ class ShardIndex:
         row_indptr: np.ndarray,
         row_indices: np.ndarray,
         row_data: np.ndarray,
+        l_inv_indptr: np.ndarray,
+        l_inv_indices: np.ndarray,
+        l_inv_data: np.ndarray,
     ) -> None:
         self.shard_id = int(shard_id)
         self.members = np.asarray(members, dtype=np.int64)
@@ -200,6 +219,14 @@ class ShardIndex:
         self.row_indptr = np.asarray(row_indptr, dtype=np.int64).tolist()
         self.row_indices = np.asarray(row_indices, dtype=np.int64)
         self.row_data = np.asarray(row_data, dtype=np.float64)
+        self.l_inv_indptr = np.asarray(l_inv_indptr, dtype=np.int64)
+        self.l_inv_indices = np.asarray(l_inv_indices, dtype=np.int64)
+        self.l_inv_data = np.asarray(l_inv_data, dtype=np.float64)
+        if self.l_inv_indptr.size != self.members.size + 1:
+            raise InvalidParameterError(
+                f"shard {self.shard_id} has {self.members.size} members but "
+                f"{self.l_inv_indptr.size - 1} L^-1 columns"
+            )
         (
             self.block_indptr,
             self.block_indices,
@@ -212,6 +239,38 @@ class ShardIndex:
     @property
     def n_members(self) -> int:
         return len(self.scan_nodes)
+
+    def seed_column(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, vals)`` views of member ``node``'s ``L^-1`` column."""
+        i = int(np.searchsorted(self.members, node))
+        if i == self.members.size or self.members[i] != node:
+            raise InvalidParameterError(
+                f"node {node} is not a member of shard {self.shard_id}"
+            )
+        lo, hi = self.l_inv_indptr[i], self.l_inv_indptr[i + 1]
+        return self.l_inv_indices[lo:hi], self.l_inv_data[lo:hi]
+
+
+def member_columns(
+    l_inv, columns: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSC triple of columns ``columns`` of the
+    :class:`~repro.sparse.csc.CSCMatrix` ``l_inv``, in that order, each
+    copied verbatim: one ``csr_row_index`` gather."""
+    columns = np.asarray(columns, dtype=np.int64)
+    if columns.size and not (0 <= columns.min() and columns.max() < l_inv.shape[1]):
+        raise InvalidParameterError(
+            f"column ids must lie in [0, {l_inv.shape[1]}) for a shard's seed columns"
+        )
+    indptr = l_inv.indptr
+    out_ptr = np.zeros(columns.size + 1, dtype=np.int64)
+    np.cumsum(indptr[columns + 1] - indptr[columns], out=out_ptr[1:])
+    out_idx = np.empty(int(out_ptr[-1]), dtype=np.int64)
+    out_dat = np.empty(int(out_ptr[-1]), dtype=np.float64)
+    _st.csr_row_index(
+        columns.size, columns, indptr, l_inv.indices, l_inv.data, out_idx, out_dat
+    )
+    return out_ptr, out_idx, out_dat
 
 
 def _block_colmax(
@@ -401,11 +460,13 @@ class ShardedIndex:
     Construction does **not** refactorise anything: the global
     precomputation (reordering, LU, triangular inverses) happens once in
     :meth:`KDash.build`, and :meth:`from_index` re-slices its ``U^-1``
-    rows by shard.  Shared, shard-invariant state — the seed-side
-    ``L^-1``, the permutation, the exact per-query proximity mass — is
-    held once (and persisted once, in the sharded manifest); each worker of a
-    distributed deployment additionally holds only its own shard's rows,
-    roughly ``1/n_shards`` of the answer-side index.
+    rows and ``L^-1`` columns by shard.  Shared, shard-invariant state —
+    the node→shard assignment and the shard summaries — is held once
+    (and persisted once, in the sharded manifest); each worker of a
+    distributed deployment additionally holds only its own shard's
+    payload, its members' rows and seed columns, roughly ``1/n_shards``
+    of the index.  Nothing else of the source index is kept: no scan
+    reads the permutation or the per-query proximity mass.
 
     Parameters mirror the persisted layout; build through
     :meth:`from_index` (or :func:`repro.core.index_io.load_sharded_index`).
@@ -430,9 +491,6 @@ class ShardedIndex:
         assignment: np.ndarray,
         partitioner: str,
         seed: int,
-        position: Sequence[int],
-        l_inv,
-        total_mass_perm: np.ndarray,
         shards: List[Optional[ShardIndex]],
         summaries: List[ShardSummary],
         labels: Optional[List[str]] = None,
@@ -442,9 +500,6 @@ class ShardedIndex:
         self.assignment = np.asarray(assignment, dtype=np.int64)
         self.partitioner = str(partitioner)
         self.seed = int(seed)
-        self.position = list(position)
-        self.l_inv = l_inv
-        self.total_mass_perm = np.asarray(total_mass_perm, dtype=np.float64)
         self.shards = shards
         self.summaries = summaries
         self.labels = labels
@@ -524,6 +579,7 @@ class ShardedIndex:
                     row_indptr,
                     row_indices,
                     row_data,
+                    *member_columns(prepared.l_inv, prepared.position_arr[members]),
                 )
             )
             summaries.append(
@@ -541,9 +597,6 @@ class ShardedIndex:
             assignment=assignment,
             partitioner=partitioner,
             seed=seed,
-            position=position,
-            l_inv=prepared.l_inv,
-            total_mass_perm=prepared.total_mass_perm,
             shards=shards,
             summaries=summaries,
             labels=list(graph.labels) if graph.labels else None,
@@ -584,6 +637,11 @@ class ShardedIndex:
         """A fresh all-zero dense seed workspace."""
         return np.zeros(self.n, dtype=np.float64)
 
+    def seed_column(self, node: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, vals)`` of ``L^-1[:, position[node]]``, read from the
+        payload of ``node``'s home shard (which must be loaded)."""
+        return self.shard(self.home_shard(node)).seed_column(node)
+
     def scatter_column(self, y: np.ndarray, node: int) -> Tuple[np.ndarray, np.ndarray]:
         """Scatter ``L^-1[:, position[node]]`` into ``y``.
 
@@ -591,7 +649,7 @@ class ShardedIndex:
         restores the workspace in O(nnz) and feeds the per-shard bound
         contraction.
         """
-        rows, vals = self.l_inv.column(self.position[node])
+        rows, vals = self.seed_column(node)
         y[rows] = vals
         return rows, vals
 
@@ -612,12 +670,15 @@ class ShardedIndex:
         query: int,
         k: int,
         candidates: Sequence[Tuple[int, float]] = (),
+        seed: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         home: bool = False,
         backend=None,
     ):
         """Scan shard ``shard_id`` for one query, from a primed heap.
 
-        Scatters the query's seed column into the all-zero workspace
+        Scatters the query's seed column ``seed`` — the ``(rows, vals)``
+        a home reply returned; ``None`` reads it from the query's home
+        payload, which must then be loaded — into the all-zero workspace
         ``y``, primes a canonical heap with the gather's running
         ``candidates``, runs :func:`scan_shard` and clears ``y`` again.
         A canonical heap evicts its dummies before any real entry, so
@@ -625,16 +686,24 @@ class ShardedIndex:
         prunes and admits under the gather's θ.  A ``home`` request also
         contracts every shard's summary bound against the seed column.
 
-        Returns ``(items, bounds or None, n_checked, n_computed)``, the
-        reply :class:`~repro.query.planner.Gather` absorbs.
+        Returns the reply :class:`~repro.query.planner.Gather` absorbs:
+        ``(items, bounds, n_checked, n_computed, seed)`` for a ``home``
+        request, so that the gather can hand the seed column on to the
+        remote scans, and ``(items, None, n_checked, n_computed)`` for
+        any other.
         """
-        rows, vals = self.scatter_column(y, query)
+        if seed is None:
+            seed = self.seed_column(query)
+        rows, vals = seed
+        y[rows] = vals
         ymax = float(vals.max()) if vals.size else 0.0
         heap = canonical_heap(self.n, k)
         merge_candidates(heap, candidates)
         checked, computed = scan_shard(
             self.shard(shard_id), self.c, y, ymax, heap, backend=backend
         )
-        bounds = self.shard_bounds(rows, vals) if home else None
         self.clear_rows(y, rows)
-        return heap_items(heap), bounds, checked, computed
+        if home:
+            bounds = self.shard_bounds(rows, vals)
+            return heap_items(heap), bounds, checked, computed, seed
+        return heap_items(heap), None, checked, computed

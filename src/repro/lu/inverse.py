@@ -26,10 +26,19 @@ kernel subtracts the same products in the same order from 0.0.  Since
 bit for bit (the argument :mod:`repro.query.backends.base` makes for
 ``csr_matvec``).  The division by ``T_ii`` comes next in both, and exact
 zeros are dropped after it.
+
+The transient buffers the size of the inverse (the growing rows of
+``X`` and their natural-order gather) each live in their own anonymous
+mapping (:func:`_scratch`), so freeing one returns its pages to the
+OS.  Through ``malloc`` they would not: once the first large buffer is
+freed, glibc raises its dynamic mmap threshold, later buffers land on
+the heap, and their pages stay resident after the build.  Only the
+returned triples are ordinary arrays.
 """
 
 from __future__ import annotations
 
+import mmap
 from typing import Tuple
 
 import numpy as np
@@ -133,8 +142,8 @@ def _lower_inverse(
     b_ptr[: n + 1] = np.arange(n + 1)
     b_len = np.ones(2 * n, dtype=np.int64)  # stored entries per row of B
     capacity = 2 * n + len(s_idx)
-    b_idx = np.empty(capacity, dtype=np.int64)
-    b_dat = np.empty(capacity)
+    b_idx = _scratch(capacity, np.int64)
+    b_dat = _scratch(capacity, np.float64)
     b_idx[:n] = np.arange(n)
     b_dat[:n] = 1.0
     used = n
@@ -184,15 +193,24 @@ def _lower_inverse(
 
 
 def _gather_rows(rows, ptr, idx, dat, nnz: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The ``nnz`` entries of CSR rows ``rows``, concatenated in that order."""
-    out_idx = np.empty(nnz, dtype=np.int64)
-    out_dat = np.empty(nnz)
+    """The ``nnz`` entries of CSR rows ``rows``, concatenated in that
+    order, in :func:`_scratch` buffers."""
+    out_idx = _scratch(nnz, np.int64)
+    out_dat = _scratch(nnz, np.float64)
     _st.csr_row_index(len(rows), rows, ptr, idx, dat, out_idx, out_dat)
     return out_idx, out_dat
 
 
 def _grow(arr: np.ndarray, used: int, capacity: int) -> np.ndarray:
-    """A copy of ``arr[:used]`` with room for ``capacity`` entries."""
-    out = np.empty(capacity, dtype=arr.dtype)
+    """A :func:`_scratch` copy of ``arr[:used]`` with room for
+    ``capacity`` entries."""
+    out = _scratch(capacity, arr.dtype)
     out[:used] = arr[:used]
     return out
+
+
+def _scratch(count: int, dtype) -> np.ndarray:
+    """An uninitialised array in an anonymous mapping of its own: its
+    pages go back to the OS when the array is released."""
+    dtype = np.dtype(dtype)
+    return np.frombuffer(mmap.mmap(-1, max(count * dtype.itemsize, 1)), dtype, count)

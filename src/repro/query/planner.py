@@ -8,7 +8,8 @@ The shard-level pruning contract is written once, as :class:`Gather`:
 2. **descending bounds** — contract every other shard's
    :class:`~repro.core.sharded.ShardSummary` against the scattered seed
    column and visit survivors in descending bound order, each scan
-   starting from the gather's running candidates;
+   starting from the gather's running candidates and scattering the
+   seed column the home scan returned (only the home shard holds it);
 3. **skip below θ** — the first shard whose bound falls below the
    running θ certifies (bounds are sorted, θ is monotone) that *every*
    remaining shard is out, the Lemma 2 argument one level up.
@@ -139,20 +140,23 @@ class Gather:
     """One query's home-first, bound-ordered gather over shard replies.
 
     Built from the home shard's reply ``(items, bounds, checked,
-    computed)`` (see :meth:`~repro.core.sharded.ShardedIndex.scan_request`).
-    Its driver asks :meth:`next_shard` for the next shard, scans it from
-    :attr:`candidates` and hands the reply to :meth:`absorb`, until
-    :meth:`next_shard` returns ``None``; :meth:`result` and :meth:`plan`
-    then give the answer and its accounting.
+    computed, seed)`` (see
+    :meth:`~repro.core.sharded.ShardedIndex.scan_request`).  Its driver
+    asks :meth:`next_shard` for the next shard, scans it from
+    :attr:`candidates` and the query's :attr:`seed` column, and hands
+    the reply to :meth:`absorb`, until :meth:`next_shard` returns
+    ``None``; :meth:`result` and :meth:`plan` then give the answer and
+    its accounting.
     """
 
     __slots__ = (
-        "query", "k", "n", "candidates", "theta", "bounds", "order",
+        "query", "k", "n", "seed", "candidates", "theta", "bounds", "order",
         "cursor", "visited", "skipped", "checked", "computed",
     )
 
     def __init__(self, query: int, k: int, n: int, home: int, reply) -> None:
         self.query, self.k, self.n = query, k, n
+        self.seed = reply[4]
         bounds = self.bounds = reply[1]
         self.order = sorted(
             (s for s in range(len(bounds)) if s != home),
@@ -171,7 +175,7 @@ class Gather:
         The scan started from :attr:`candidates`, so its items are the
         gather's running answer.
         """
-        items, _, checked, computed = reply
+        items, _, checked, computed = reply[:4]
         self.candidates = items
         self.theta = merge_candidates(canonical_heap(self.n, self.k), items)
         self.checked += checked
@@ -441,7 +445,8 @@ class ScatterGatherPlanner:
         while shard_id is not None:
             gather.absorb(
                 sharded.scan_request(
-                    y, shard_id, query, k, gather.candidates, backend=backend
+                    y, shard_id, query, k, gather.candidates, gather.seed,
+                    backend=backend,
                 )
             )
             shard_id = gather.next_shard()

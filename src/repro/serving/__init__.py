@@ -25,8 +25,8 @@ between them:
   snapshot swap invisible to in-flight queries, written once for both
   pools and driven by a plan of rounds;
 - :mod:`repro.serving.sharded` — :class:`ShardPool` (the replica pool
-  with one worker per shard of a format-v5 manifest, each holding
-  ``1/n_shards`` of the answer-side index) and
+  with one worker per shard of a format-v6 manifest, each holding
+  ``1/n_shards`` of the index) and
   :class:`ShardedScheduler` (the scheduler with a home-first
   scatter-gather plan and cross-shard bound skipping; results
   bit-identical to a single engine);

@@ -48,7 +48,7 @@ class SnapshotPublisher:
     shard_spec:
         ``None`` publishes v4 single-index archives (replica-pool
         deployment).  A ``(n_shards, partitioner)`` or ``(n_shards,
-        partitioner, seed)`` tuple publishes format-v5 **sharded**
+        partitioner, seed)`` tuple publishes format-v6 **sharded**
         snapshots instead: after compaction the base index is re-sliced
         with :meth:`~repro.core.sharded.ShardedIndex.from_index` and the
         manifest-plus-payloads layout is written, ready for a

@@ -10,7 +10,7 @@ traffic.  Two pools share every pipe and lifecycle mechanism here:
   :class:`~repro.query.engine.QueryEngine` over the whole snapshot
   (private LRU result cache, private workspace);
 - :class:`~repro.serving.sharded.ShardPool` — one worker per shard of a
-  format-v5 manifest, each scanning only its own shard.
+  format-v6 manifest, each holding and scanning only its own shard.
 
 Every worker runs :func:`worker_main`: load the snapshot, report
 ``ready``, then serve messages until told to stop.  A hot swap to a
@@ -23,25 +23,31 @@ routing, the swap barrier) lives in
 
 Wire protocol (tuples, first element is the kind):
 
-===========  ========================================================  ===========
-direction    message                                                   reply
-===========  ========================================================  ===========
-to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``        ``("results", wid, batch_id, [TopKResult, ...])``
-to shard     ``("home", batch_id, [(query, k), ...])``                 ``("partial", wid, batch_id, [(items, bounds, checked, computed), ...])``
-to shard     ``("remote", batch_id, [(query, k, candidates), ...])``   ``("candidates", wid, batch_id, [(items, None, checked, computed), ...])``
-to worker    ``("swap", epoch, path)``                                 ``("swapped", wid, epoch)``
-to worker    ``("stats",)``                                            ``("stats", wid, stats_dict)``
-to worker    ``("metrics",)``                                          ``("metrics", wid, registry_snapshot)``
-to worker    ``("stop",)``                                             ``("stopped", wid, stats_dict)``
-from worker  at boot                                                   ``("ready", wid, epoch)``
-from worker  on a crash                                                ``("error", wid, traceback_text)``
-===========  ========================================================  ===========
+===========  =============================================================  ===========
+direction    message                                                        reply
+===========  =============================================================  ===========
+to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``             ``("results", wid, batch_id, [TopKResult, ...])``
+to shard     ``("home", batch_id, [(query, k), ...])``                      ``("partial", wid, batch_id, [(items, bounds, checked, computed, seed), ...])``
+to shard     ``("remote", batch_id, [(query, k, candidates, seed), ...])``  ``("candidates", wid, batch_id, [(items, None, checked, computed), ...])``
+to worker    ``("swap", epoch, path)``                                      ``("swapped", wid, epoch)``
+to worker    ``("stats",)``                                                 ``("stats", wid, stats_dict)``
+to worker    ``("metrics",)``                                               ``("metrics", wid, registry_snapshot)``
+to worker    ``("stop",)``                                                  ``("stopped", wid, stats_dict)``
+from worker  at boot                                                        ``("ready", wid, epoch)``
+from worker  on a crash                                                     ``("error", wid, traceback_text)``
+===========  =============================================================  ===========
 
-A ``remote`` request's ``candidates`` are the gather's running
-``(node, proximity)`` answer (at most ``k`` pairs); the worker primes
-its scan's heap with them, and both shard rounds reply with the
+A ``home`` reply's ``seed`` is the query's ``L^-1`` column as a
+``(rows, vals)`` pair of ``bytes``, the raw int64 rows and float64
+values; only the home shard holds the column, so the gather hands it
+on unread with every ``remote`` request.  A ``remote`` request's
+``candidates`` are the gather's running ``(node, proximity)`` answer
+(at most ``k`` pairs); the worker scatters the ``seed``, primes its
+scan's heap with the candidates, and both shard rounds reply with the
 scanned heap's items (see
-:meth:`~repro.core.sharded.ShardedIndex.scan_request`).
+:meth:`~repro.core.sharded.ShardedIndex.scan_request`).  On
+servebench's 2,000-node planted graph a seed column averages about 440
+entries, about 7 KB.
 
 A batch request with a third element ``prec`` carries a precision spec
 string (``"exact"``, ``"bounded(1e-06)"``, ``"best_effort(0.001)"``, see
@@ -147,11 +153,11 @@ def _check_snapshot_format(path: str, version: int, sharded: bool) -> None:
             "loads only by unpickling, and pool workers unpickle nothing; "
             "re-publish it: load it with load_index (or load_sharded_index) "
             "and publish it through a SnapshotStore, which writes format v4 "
-            "(or v5)"
+            "(or v6)"
         )
     if sharded and not is_sharded_version(version):
         raise ServingError(
-            f"ShardPool needs a sharded (format-v3 or format-v5) manifest; "
+            f"ShardPool needs a sharded (format-v3, v5 or v6) manifest; "
             f"{path!r} has single-index format version {version} (serve it "
             "through ReplicaPool, or shard it first)"
         )

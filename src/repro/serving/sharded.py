@@ -2,22 +2,25 @@
 
 The replica pool (:mod:`repro.serving.replica`) scales *throughput* by
 replicating the whole index per worker; this module scales the **index
-itself**: each worker process owns one shard of a format-v5 archive —
-the manifest's shared seed-side state plus only its own ``U^-1`` row
-payload, roughly ``1/n_shards`` of the answer-side index — and queries
+itself**: each worker process owns one shard of a format-v6 archive —
+the manifest's shared state (the assignment and the shard summaries)
+plus only its own shard's payload, its members' ``U^-1`` rows and
+``L^-1`` columns, roughly ``1/n_shards`` of the index — and queries
 run the same home-first / bound-ordered / skip-below-θ plan as the
 in-process :class:`~repro.query.planner.ScatterGatherPlanner`, spread
 over processes:
 
 1. the scheduler routes each query to its **home shard** worker, which
-   scans its members and also contracts every other shard's summary
-   bound against the scattered seed column (it holds the manifest, so
-   the bounds are one sparse dot each);
+   holds the query's seed column: it scans its members, contracts
+   every other shard's summary bound against the scattered column (it
+   holds the manifest, so the bounds are one sparse dot each), and
+   returns the column with its reply;
 2. the gather side sorts the surviving shards by descending bound and
    visits them **one at a time**, micro-batched per worker; a remote
-   request carries the gather's running candidates, and the worker
-   scans from a heap primed with them, so it prunes under the running
-   K-th proximity θ;
+   request carries the query's seed column and the gather's running
+   candidates, and the worker scatters the one and scans from a heap
+   primed with the other, so it prunes under the running K-th
+   proximity θ;
 3. a shard whose bound falls below θ is **skipped** — and because
    bounds are sorted and θ only grows, every shard after it is skipped
    too.
@@ -72,11 +75,14 @@ from .snapshot import Snapshot
 class ShardServer:
     """What a shard worker serves: scans of its own shard.
 
-    Loads the manifest plus **only its own shard payload**.  Both rounds
-    run the same :meth:`~repro.core.sharded.ShardedIndex.scan_request`:
-    a ``home`` request starts from an empty heap and also returns every
-    shard's summary bound, a ``remote`` request starts from the gather's
-    running candidates.
+    Loads the manifest plus **only its own shard payload**: its members'
+    ``U^-1`` rows and ``L^-1`` columns, and no other shard's.  Both
+    rounds run the same
+    :meth:`~repro.core.sharded.ShardedIndex.scan_request`: a ``home``
+    request scatters the query's seed column from this payload, starts
+    from an empty heap, and also returns every shard's summary bound and
+    the seed column; a ``remote`` request scatters the seed column it
+    carries and starts from the gather's running candidates.
 
     The scan dispatches to the kernel backend: worker processes
     inherit ``REPRO_KERNEL_BACKEND`` from the parent, so one environment
@@ -126,13 +132,23 @@ class ShardServer:
         replies, spans = [], []
         for i, request in enumerate(requests):
             t0 = perf_counter()
-            # (query, k) on a home request, (query, k, candidates) on
-            # a remote one.
-            reply = self.sharded.scan_request(
-                self._y, self.worker_id, *request, home=home
-            )
+            # The seed column crosses the pipes as the raw bytes of its
+            # rows and values: pickling bytes is one copy, while
+            # pickling and unpickling the two arrays costs about 25 µs.
+            if home:
+                query, k = request
+                reply = self.sharded.scan_request(
+                    self._y, self.worker_id, query, k, home=True
+                )
+                reply = reply[:4] + (tuple(a.tobytes() for a in reply[4]),)
+            else:
+                query, k, candidates, (rows, vals) = request
+                seed = (np.frombuffer(rows, np.int64), np.frombuffer(vals))
+                reply = self.sharded.scan_request(
+                    self._y, self.worker_id, query, k, candidates, seed
+                )
             seconds = perf_counter() - t0
-            checked, computed = reply[2:]
+            checked, computed = reply[2:4]
             self._stats[f"{kind}_queries"] += 1
             self._stats["nodes_checked"] += checked
             self._stats["nodes_computed"] += computed
@@ -163,13 +179,13 @@ class ShardServer:
 
 
 class ShardPool(ReplicaPool):
-    """One worker process per shard of a format-v5 sharded snapshot.
+    """One worker process per shard of a format-v6 sharded snapshot.
 
     Parameters
     ----------
     snapshot:
-        A :class:`~repro.serving.snapshot.Snapshot` whose path is a v5
-        manifest (or a plain manifest path, treated as epoch 0).  The
+        A :class:`~repro.serving.snapshot.Snapshot` whose path is a v6
+        (or v5) manifest, or a plain manifest path, treated as epoch 0.  The
         worker count **is** the manifest's shard count — worker ``i``
         owns shard ``i``.
     timeout:
@@ -223,7 +239,8 @@ class ShardPool(ReplicaPool):
         self._send_batch("home", worker_id, batch_id, requests, ctxs)
 
     def submit_remote(self, worker_id: int, batch_id: int, requests, ctxs=None) -> None:
-        """Dispatch one remote-round micro-batch of ``(query, k, candidates)``."""
+        """Dispatch one remote-round micro-batch of ``(query, k,
+        candidates, seed)``."""
         self._send_batch("remote", worker_id, batch_id, requests, ctxs)
 
 
@@ -326,7 +343,10 @@ class ShardedScheduler(MicroBatchScheduler):
             self._finalise(seq, self._gathers.pop(seq))
         else:
             self._enqueue(
-                "remote", shard, seq, (gather.query, gather.k, gather.candidates)
+                "remote",
+                shard,
+                seq,
+                (gather.query, gather.k, gather.candidates, gather.seed),
             )
 
     def _finalise(self, seq: int, gather: Gather) -> None:

@@ -2,7 +2,7 @@
 
 A **snapshot** is one immutable, fully-compacted index artefact: either
 a v4 single-index archive (which carries the ``PreparedIndex`` caches
-so workers skip re-preparation on load) or a v5 **sharded manifest**
+so workers skip re-preparation on load) or a v6 **sharded manifest**
 plus its per-shard payload files (see :mod:`repro.core.index_io`) —
 publishing a :class:`~repro.core.sharded.ShardedIndex` picks the
 sharded layout automatically, with the manifest as the atomic commit

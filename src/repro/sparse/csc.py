@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+from scipy.sparse import _sparsetools as _st
 
 from ..exceptions import SparseMatrixError
 
@@ -104,31 +105,37 @@ class CSCMatrix:
     # Linear algebra
     # ------------------------------------------------------------------
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A @ x`` for a dense vector ``x`` (scatter per column)."""
-        x = np.asarray(x, dtype=np.float64)
+        """Compute ``A @ x`` for a dense vector ``x`` (scatter per column).
+
+        scipy's ``csc_matvec``, the kernel ``A @ x`` runs on a
+        ``csc_matrix``: bit for bit scipy's result, with no temporary
+        the size of ``nnz``.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.shape[1],):
             raise SparseMatrixError(
                 f"vector has shape {x.shape}, expected ({self.shape[1]},)"
             )
         out = np.zeros(self.shape[0], dtype=np.float64)
-        col_ids = np.repeat(
-            np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)
-        )
-        np.add.at(out, self.indices, self.data * x[col_ids])
+        _st.csc_matvec(*self.shape, self.indptr, self.indices, self.data, x, out)
         return out
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A.T @ x`` for a dense vector ``x``."""
-        x = np.asarray(x, dtype=np.float64)
+        """Compute ``A.T @ x`` for a dense vector ``x``.
+
+        ``A.T`` over the same arrays is a CSR matrix, so this is scipy's
+        ``csr_matvec``: each column summed in storage order from +0.0,
+        bit for bit ``A.T @ x`` on a ``csc_matrix``.
+        """
+        x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.shape[0],):
             raise SparseMatrixError(
                 f"vector has shape {x.shape}, expected ({self.shape[0]},)"
             )
         out = np.zeros(self.shape[1], dtype=np.float64)
-        col_ids = np.repeat(
-            np.arange(self.shape[1], dtype=np.int64), np.diff(self.indptr)
+        _st.csr_matvec(
+            self.shape[1], self.shape[0], self.indptr, self.indices, self.data, x, out
         )
-        np.add.at(out, col_ids, self.data * x[self.indices])
         return out
 
     # ------------------------------------------------------------------

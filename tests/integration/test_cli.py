@@ -468,3 +468,52 @@ class TestBadUserInput:
             "--node", "999999",
         ]) == 2
         assert "error: node 999999 does not exist (" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--node", "999999"], "error: node 999999 does not exist ("),
+            (["--node", "1", "--k", "0"], "error: K must be positive, got 0"),
+        ],
+    )
+    def test_update_checks_node_and_k_before_applying(
+        self, archives, tmp_path, args, message, capsys
+    ):
+        output = tmp_path / "updated.npz"
+        assert main([
+            "update", "--index", archives["single"], "--add", "0:5",
+            "--output", str(output), *args,
+        ]) == 2
+        assert capsys.readouterr().out.startswith(message)  # nothing applied
+        assert not output.exists()
+
+
+class TestMetricsCommand:
+    def test_reader_closing_the_pipe_is_a_normal_end(self, tmp_path):
+        """``repro metrics … | head``: a reader that stops after one line
+        leaves exit code 0 and an empty stderr.  The output is far larger
+        than a pipe buffer, so the writer always meets the closed pipe."""
+        import os
+        import subprocess
+        import sys
+
+        from repro.obs import MetricsRegistry, write_metrics_json
+
+        registry = MetricsRegistry()
+        for i in range(1000):
+            registry.histogram(f"repro_test_{i}_seconds", help="x").observe(0.001 * i)
+        path = str(tmp_path / "metrics.json")
+        write_metrics_json(registry, path)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        for fmt in ("prometheus", "table"):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "metrics", "--input", path,
+                 "--format", fmt],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.stderr.close()
+            assert (proc.wait(timeout=60), stderr) == (0, b"")

@@ -83,18 +83,33 @@ def _save_v2(index: KDash, path: str, **overrides) -> None:
     np.savez_compressed(path, allow_pickle=True, **arrays)
 
 
-def _save_v3(sharded, path: str, **overrides) -> list:
+def _save_v3(index, sharded, path: str, **overrides) -> list:
     """Write a legacy v3 manifest plus payloads: the v5 members,
     deflated, with labels and shard_files as pickled object arrays.
     ``overrides`` replace manifest members.  Returns the written paths,
     manifest last."""
+    return _save_manifest_l_inv(index, sharded, path, 3, **overrides)
+
+
+def _save_v5(index, sharded, path: str) -> list:
+    """Write a v5 manifest plus payloads, as the writer v6 replaced did:
+    stored members, all of ``L^-1`` in the manifest and none in the
+    payloads.  Returns the written paths, manifest last."""
+    return _save_manifest_l_inv(index, sharded, path, 5)
+
+
+def _save_manifest_l_inv(index, sharded, path: str, version: int, **overrides) -> list:
+    """The v3/v5 layout: ``index``'s whole ``L^-1`` in the manifest."""
+    legacy = version == 3
+    save = np.savez_compressed if legacy else np.savez
+    text = object if legacy else str
     stem = path[:-4]
     written, shard_files = [], []
     for shard_id, payload in enumerate(sharded.shards):
         shard_path = f"{stem}.shard{shard_id:03d}.npz"
-        np.savez_compressed(
+        save(
             shard_path,
-            format_version=3,
+            format_version=version,
             shard_id=shard_id,
             members=payload.members,
             scan_nodes=np.asarray(payload.scan_nodes, dtype=np.int64),
@@ -105,20 +120,22 @@ def _save_v3(sharded, path: str, **overrides) -> list:
         )
         shard_files.append(os.path.basename(shard_path))
         written.append(shard_path)
+    prepared = index.prepared
+    l_inv = prepared.l_inv
     arrays = dict(
-        format_version=3,
+        format_version=version,
         n_nodes=sharded.n,
         c=sharded.c,
         n_shards=sharded.n_shards,
         partitioner=sharded.partitioner,
         shard_seed=sharded.seed,
         assignment=sharded.assignment,
-        position=np.asarray(sharded.position, dtype=np.int64),
-        l_inv_indptr=sharded.l_inv.indptr,
-        l_inv_indices=sharded.l_inv.indices,
-        l_inv_data=sharded.l_inv.data,
-        total_mass_perm=sharded.total_mass_perm,
-        shard_files=np.asarray(shard_files, dtype=object),
+        position=prepared.position_arr,
+        l_inv_indptr=l_inv.indptr,
+        l_inv_indices=l_inv.indices,
+        l_inv_data=l_inv.data,
+        total_mass_perm=prepared.total_mass_perm,
+        shard_files=np.asarray(shard_files, dtype=text),
         summary_n_members=np.asarray(
             [s.n_members for s in sharded.summaries], dtype=np.int64
         ),
@@ -130,11 +147,11 @@ def _save_v3(sharded, path: str, **overrides) -> list:
         ),
         summary_colmax=np.vstack([s.colmax for s in sharded.summaries]),
         labels=np.asarray(
-            sharded.labels if sharded.labels is not None else [], dtype=object
+            sharded.labels if sharded.labels is not None else [], dtype=text
         ),
     )
     arrays.update(overrides)
-    np.savez_compressed(path, allow_pickle=True, **arrays)
+    save(path, allow_pickle=legacy, **arrays)
     return written + [path]
 
 
@@ -424,7 +441,7 @@ class TestShardedFormatV3:
         from repro.core import read_format_version
 
         _, manifest_path, _ = saved
-        assert read_format_version(manifest_path) == 5
+        assert read_format_version(manifest_path) == 6
         plain = str(tmp_path / "plain.npz")
         save_index(built, plain)
         assert read_format_version(plain) == 4
@@ -546,22 +563,20 @@ def _sharded_state(sharded) -> dict:
     state = {
         name: getattr(sharded, name)
         for name in (
-            "n", "c", "assignment", "partitioner", "seed", "position",
-            "total_mass_perm", "labels",
+            "n", "c", "assignment", "partitioner", "seed", "labels",
         )
     }
-    state["l_inv"] = (sharded.l_inv.indptr, sharded.l_inv.indices, sharded.l_inv.data)
     for s in sharded.summaries:
         state[f"summary{s.shard_id}"] = (
             s.shard_id, s.n_members, s.rownorm_max, s.boundary_frac, s.colmax,
         )
-    for shard in sharded.shards:
+    for shard in (s for s in sharded.shards if s is not None):
         state[f"shard{shard.shard_id}"] = tuple(
             getattr(shard, slot)
             for slot in (
                 "members", "scan_nodes", "scan_norms", "row_indptr",
-                "row_indices", "row_data", "block_indptr", "block_indices",
-                "block_data",
+                "row_indices", "row_data", "l_inv_indptr", "l_inv_indices",
+                "l_inv_data", "block_indptr", "block_indices", "block_data",
             )
         )
     return state
@@ -650,13 +665,13 @@ class TestStoredPickleFreeFormats:
         v4 = str(tmp_path / "v4.npz")
         save_index(labelled_index, v4)
         sharded = ShardedIndex.from_index(labelled_index, 3, partitioner="louvain")
-        written = save_sharded_index(sharded, str(tmp_path / "v5.npz"))
+        written = save_sharded_index(sharded, str(tmp_path / "v6.npz"))
         for path in [v4] + written:
             with zipfile.ZipFile(path) as archive:
                 infos = archive.infolist()
             assert infos and all(i.compress_type == zipfile.ZIP_STORED for i in infos)
             members = _members(path)  # raises on any object member
-            assert int(members["format_version"]) == (4 if path == v4 else 5)
+            assert int(members["format_version"]) == (4 if path == v4 else 6)
             assert all(a.dtype != object for a in members.values())
 
     def test_v4_round_trip_bit_identical(self, any_index, tmp_path):
@@ -667,10 +682,20 @@ class TestStoredPickleFreeFormats:
         _assert_same_answers(any_index, loaded)
 
     def test_v5_round_trip_bit_identical(self, any_index, tmp_path):
-        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+        """A v5 manifest's ``L^-1`` is split into the same seed columns
+        the sliced index holds."""
+        from repro.core import ShardedIndex, load_sharded_index
 
         sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
         path = str(tmp_path / "v5.npz")
+        _save_v5(any_index, sharded, path)
+        _assert_same_state(_sharded_state(sharded), _sharded_state(load_sharded_index(path)))
+
+    def test_v6_round_trip_bit_identical(self, any_index, tmp_path):
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+
+        sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
+        path = str(tmp_path / "v6.npz")
         save_sharded_index(sharded, path)
         _assert_same_state(_sharded_state(sharded), _sharded_state(load_sharded_index(path)))
 
@@ -764,18 +789,56 @@ class TestLegacyFormats:
         _assert_same_answers(legacy, current)
 
     def test_v3_loads_like_v5(self, any_index, tmp_path):
-        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+        from repro.core import ShardedIndex, load_sharded_index
         from repro.query import ScatterGatherPlanner
 
         sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
         v3, v5 = str(tmp_path / "v3.npz"), str(tmp_path / "v5.npz")
-        _save_v3(sharded, v3)
-        save_sharded_index(sharded, v5)
+        _save_v3(any_index, sharded, v3)
+        _save_v5(any_index, sharded, v5)
         legacy, current = load_sharded_index(v3), load_sharded_index(v5)
         _assert_same_state(_sharded_state(legacy), _sharded_state(current))
         a, b = ScatterGatherPlanner(legacy), ScatterGatherPlanner(current)
         for q in range(0, 50, 7):
             assert a.top_k(q, 5).items == b.top_k(q, 5).items
+
+    def test_v5_loads_like_v6(self, any_index, tmp_path):
+        """Whole or one shard at a time, a v5 manifest loads into the
+        v6 layout: each loaded shard holds its own seed columns."""
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+        from repro.query import ScatterGatherPlanner
+
+        sharded = ShardedIndex.from_index(any_index, 3, partitioner="louvain")
+        v5, v6 = str(tmp_path / "v5.npz"), str(tmp_path / "v6.npz")
+        _save_v5(any_index, sharded, v5)
+        save_sharded_index(sharded, v6)
+        legacy, current = load_sharded_index(v5), load_sharded_index(v6)
+        _assert_same_state(_sharded_state(legacy), _sharded_state(current))
+        for shard_id in range(3):
+            one = load_sharded_index(v5, only=[shard_id])
+            assert [s is None for s in one.shards] == [s != shard_id for s in range(3)]
+            _assert_identical(
+                _sharded_state(one)[f"shard{shard_id}"],
+                _sharded_state(current)[f"shard{shard_id}"],
+            )
+        a, b = ScatterGatherPlanner(legacy), ScatterGatherPlanner(current)
+        for q in range(0, 50, 7):
+            assert a.top_k(q, 5).items == b.top_k(q, 5).items
+
+    def test_v5_position_out_of_range_refused(self, unlabelled_index, tmp_path):
+        """A corrupt v5 ``position`` is refused before any seed column is
+        gathered through it."""
+        from repro.core import ShardedIndex, load_sharded_index
+        from repro.exceptions import InvalidParameterError
+
+        sharded = ShardedIndex.from_index(unlabelled_index, 2, partitioner="range")
+        path = str(tmp_path / "v5.npz")
+        _save_v5(unlabelled_index, sharded, path)
+        members = _members(path)
+        members["position"] = members["position"] - unlabelled_index.graph.n_nodes
+        np.savez(path, **members)
+        with pytest.raises(InvalidParameterError, match="column ids"):
+            load_sharded_index(path, only=[0])
 
 
 class TestCorruptMembers:
@@ -849,7 +912,10 @@ class TestPoolsRefuseLegacySnapshots:
         before, children = len(_UNPICKLED), set(multiprocessing.active_children())
         sharded = ShardedIndex.from_index(unlabelled_index, 2, partitioner="range")
         path = str(tmp_path / "v3.npz")
-        _save_v3(sharded, path, labels=_pickled(unlabelled_index.graph.n_nodes))
+        _save_v3(
+            unlabelled_index, sharded, path,
+            labels=_pickled(unlabelled_index.graph.n_nodes),
+        )
         with pytest.raises(ServingError, match="legacy format version 3.*re-publish"):
             ShardPool(path)
         assert len(_UNPICKLED) == before
@@ -864,3 +930,74 @@ class TestPoolsRefuseLegacySnapshots:
         save_sharded_index(ShardedIndex.from_index(unlabelled_index, 2), path)
         with pytest.raises(ServingError, match="ShardPool"):
             ReplicaPool(path, 1)
+
+    def test_shard_pool_serves_v5_like_v6(self, unlabelled_index, tmp_path):
+        """A v5 manifest still serves: each worker splits its own seed
+        columns out of the manifest's ``L^-1`` and answers bit for bit
+        what the v6 pool and the single index answer."""
+        from repro.core import ShardedIndex, save_sharded_index
+        from repro.serving import ShardedScheduler, ShardPool
+
+        sharded = ShardedIndex.from_index(unlabelled_index, 3, partitioner="louvain")
+        v5, v6 = str(tmp_path / "v5.npz"), str(tmp_path / "v6.npz")
+        _save_v5(unlabelled_index, sharded, v5)
+        save_sharded_index(sharded, v6)
+        queries = list(range(0, 50, 3))
+        want = [unlabelled_index.top_k(q, 5).items for q in queries]
+        for path in (v5, v6):
+            with ShardPool(path) as pool:
+                got = ShardedScheduler(pool, batch_size=4).run(queries, k=5)
+            assert [r.items for r in got] == want
+
+
+def _array_bytes(sharded) -> int:
+    """Bytes of every array a loaded ShardedIndex holds: the manifest's
+    shared state, the summaries and each loaded shard's payload."""
+    from repro.core.sharded import ShardIndex
+
+    held = list(vars(sharded).values()) + [s.colmax for s in sharded.summaries]
+    for shard in sharded.shards:
+        if shard is not None:
+            held += [getattr(shard, slot) for slot in ShardIndex.__slots__]
+    return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+
+
+class TestHeldState:
+    """Each process holds only the index data it serves."""
+
+    def test_no_scipy_matrix_held(self, unlabelled_index, tmp_path):
+        """Neither a built nor a loaded index keeps a scipy copy of the
+        inverses: the full-vector products run on the index's arrays."""
+        import scipy.sparse as sp
+
+        path = str(tmp_path / "v4.npz")
+        save_index(unlabelled_index, path)
+        for index in (unlabelled_index, load_index(path)):
+            prepared = index.prepared
+            held = list(vars(index).values())
+            held += [getattr(prepared, slot) for slot in type(prepared).__slots__]
+            assert not [v for v in held if sp.issparse(v)]
+
+    def test_shard_worker_bytes_fall_with_shard_count(self, tmp_path):
+        """Machine-independent: the arrays one shard worker loads shrink
+        about as 1/S, because no manifest member is O(nnz(L^-1)); the
+        seed columns live in the shard payloads."""
+        from repro.core import ShardedIndex, load_sharded_index, save_sharded_index
+        from repro.graph import planted_partition_graph
+
+        graph = planted_partition_graph([40] * 8, 0.2, 0.002, directed=True, seed=7)
+        index = KDash(graph, c=0.95).build()
+        n, nnz = graph.n_nodes, index.prepared.l_inv.nnz
+        worst = []
+        for n_shards in (2, 4, 8):
+            path = str(tmp_path / f"s{n_shards}.npz")
+            save_sharded_index(ShardedIndex.from_index(index, n_shards), path)
+            assert max(m.size for m in _members(path).values()) <= n_shards * n < nnz
+            worst.append(
+                max(
+                    _array_bytes(load_sharded_index(path, only=[s]))
+                    for s in range(n_shards)
+                )
+            )
+        assert worst[0] > worst[1] > worst[2]
+        assert 2 * worst[2] < worst[0]

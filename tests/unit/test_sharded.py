@@ -142,6 +142,9 @@ class TestBlockScan:
             np.arange(33),
             np.array([0] * 16 + list(range(1, 17))),
             np.array([1.0] * 16 + [0.9] * 16),
+            np.zeros(33, dtype=np.int64),  # empty seed columns: unused here
+            [],
+            [],
         )
         y = np.ones(n)
         y[0] = 0.95
@@ -176,7 +179,7 @@ class TestScanRequest:
 
     def test_home_request_returns_bounds_and_clears_the_workspace(self, sharded):
         y = sharded.workspace()
-        items, bounds, checked, computed = sharded.scan_request(
+        items, bounds, checked, computed, seed = sharded.scan_request(
             y, sharded.home_shard(7), 7, 5, home=True
         )
         assert len(items) == 5 and len(bounds) == sharded.n_shards
@@ -206,6 +209,45 @@ class TestScanRequest:
             got = sharded.scan_request(y, other, query, k, home_items)
             assert got[2:] == want
             assert sorted(got[0]) == sorted(heap_items(heap))
+
+    def test_home_reply_carries_the_seed_column(self, sharded, clustered_index):
+        """The seed column lives in the home payload, verbatim, and the
+        home reply hands it on; no other shard holds it."""
+        prepared = clustered_index.prepared
+        y = sharded.workspace()
+        for query in range(0, sharded.n, 5):
+            want = prepared.l_inv.column(int(prepared.position_arr[query]))
+            home = sharded.home_shard(query)
+            seed = sharded.scan_request(y, home, query, 5, home=True)[4]
+            for got in (seed, sharded.shard(home).seed_column(query)):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+            other = sharded.shard((home + 1) % sharded.n_shards)
+            with pytest.raises(InvalidParameterError, match="not a member"):
+                other.seed_column(query)
+        assert sum(s.l_inv_indices.size for s in sharded.shards) == prepared.l_inv.nnz
+
+    def test_partial_load_answers_remote_requests(self, sharded, tmp_path):
+        """A worker holding only shard t scans for a query homed
+        elsewhere from the seed column the request carries, exactly as
+        a full load scans."""
+        from repro.core import load_sharded_index, save_sharded_index
+
+        path = str(tmp_path / "sharded.npz")
+        save_sharded_index(sharded, path)
+        full = load_sharded_index(path)
+        y = full.workspace()
+        for t in range(full.n_shards):
+            worker = load_sharded_index(path, only=[t])
+            for query in range(0, full.n, 3):
+                home = full.home_shard(query)
+                if home == t:
+                    continue
+                with pytest.raises(InvalidParameterError, match="not loaded"):
+                    worker.seed_column(query)
+                items, _, _, _, seed = full.scan_request(y, home, query, 5, home=True)
+                want = full.scan_request(y, t, query, 5, items)
+                assert worker.scan_request(y, t, query, 5, items, seed) == want
+                assert not y.any()
 
 
 class TestScatterGatherPlanner:
