@@ -1,5 +1,12 @@
 """Unit tests for the LU kernels: Crout, SuperLU backend, inverses, solve."""
 
+import json
+import os
+import platform
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +15,7 @@ from repro.exceptions import DecompositionError, InvalidParameterError, SparseMa
 from repro.graph import column_normalized_adjacency, rwr_system_matrix, scale_free_digraph
 from repro.lu import (
     crout_lu,
+    inverse,
     fill_in_report,
     lu_solve_dense,
     nnz_of_factors,
@@ -125,6 +133,16 @@ def factor(*entries):
 
 GOOD_L = factor((0, 0, 1.0), (1, 0, 0.5), (1, 1, 1.0))
 GOOD_U = factor((0, 0, 1.0), (0, 1, 0.2), (1, 1, 2.0))
+BAD_L = factor((0, 0, 1.0), (0, 1, 0.5), (1, 1, 1.0))  # an entry above the diagonal
+BAD_U = factor((0, 0, 0.0), (0, 1, 0.2), (1, 1, 2.0))  # a zero on the diagonal
+
+
+def bidiagonal_factors(n):
+    """``L`` and ``U`` with one off-diagonal each: one level per row,
+    and inverses with every entry of their triangle nonzero."""
+    ell = sp.csc_matrix(sp.diags([np.ones(n), -0.7 * np.ones(n - 1)], [0, -1]))
+    u = sp.csc_matrix(sp.diags([np.linspace(1.0, 2.0, n), 0.3 * np.ones(n - 1)], [0, 1]))
+    return ell, u
 
 
 class TestTriangularInverses:
@@ -150,14 +168,29 @@ class TestTriangularInverses:
 
     def test_bidiagonal_one_level_per_row(self):
         n = 12
-        ell = sp.csc_matrix(sp.diags([np.ones(n), -0.7 * np.ones(n - 1)], [0, -1]))
-        u = sp.csc_matrix(
-            sp.diags([np.linspace(1.0, 2.0, n), 0.3 * np.ones(n - 1)], [0, 1])
-        )
+        ell, u = bidiagonal_factors(n)
         l_inv, u_inv = assert_matches_oracle(ell, u)
         assert l_inv.nnz == u_inv.nnz == n * (n + 1) // 2
         assert np.allclose(l_inv.to_dense(), np.linalg.inv(ell.toarray()))
         assert np.allclose(u_inv.to_dense(), np.linalg.inv(u.toarray()))
+
+    def test_rows_grown_in_place_many_times(self, monkeypatch):
+        # The rows of each inverse start with room for 3n - 1 entries and
+        # end with n + n(n + 1)/2 (the unit rows, then the triangle): at
+        # n = 400, 80,600 entries, so both maps of both factors grow seven
+        # times in place.
+        grown = []
+        grow = inverse._grow
+
+        def counted(buf, count, dtype):
+            grown.append(count)
+            return grow(buf, count, dtype)
+
+        monkeypatch.setattr(inverse, "_grow", counted)
+        n = 400
+        l_inv, u_inv = assert_matches_oracle(*bidiagonal_factors(n))
+        assert len(grown) == 2 * 2 * 7
+        assert l_inv.nnz == u_inv.nnz == n * (n + 1) // 2
 
     def test_diagonal_only(self):
         d = np.array([2.0, 0.5, 4.0, 1.0, 3.0])
@@ -182,20 +215,55 @@ class TestTriangularInverses:
         assert u_inv.nnz == 2
 
     @pytest.mark.parametrize(
-        "ell, u, error",
+        "ell, u, error, named",
         [
-            (factor((0, 0, 1.0), (0, 1, 0.5), (1, 1, 1.0)), GOOD_U, SparseMatrixError),
-            (GOOD_L, factor((0, 0, 1.0), (1, 0, 0.5), (1, 1, 2.0)), SparseMatrixError),
-            (GOOD_L, factor((0, 0, 1.0), (0, 1, 0.2)), DecompositionError),
-            (GOOD_L, factor((0, 0, 0.0), (0, 1, 0.2), (1, 1, 2.0)), DecompositionError),
+            (BAD_L, GOOD_U, SparseMatrixError, "L"),
+            (GOOD_L, factor((0, 0, 1.0), (1, 0, 0.5), (1, 1, 2.0)), SparseMatrixError, "U"),
+            (GOOD_L, factor((0, 0, 1.0), (0, 1, 0.2)), DecompositionError, "U"),
+            (GOOD_L, BAD_U, DecompositionError, "U"),
+            # L is checked first, whatever runs on the helper thread.
+            (BAD_L, BAD_U, SparseMatrixError, "L"),
         ],
-        ids=["L-above-diagonal", "U-below-diagonal", "U-missing-diagonal", "U-zero-diagonal"],
+        ids=[
+            "L-above-diagonal",
+            "U-below-diagonal",
+            "U-missing-diagonal",
+            "U-zero-diagonal",
+            "both-invalid",
+        ],
     )
-    def test_raises_the_oracles_exceptions(self, ell, u, error):
+    def test_raises_the_oracles_exceptions(self, ell, u, error, named):
         with pytest.raises(error):
             oracle_inverses(ell, u)
-        with pytest.raises(error):
+        with pytest.raises(error, match=rf"\b{named}\b"):
             triangular_inverses(ell, u)
+
+    # The pools fork right after a build, so no thread may outlive it.
+    @pytest.mark.parametrize("u", [GOOD_U, BAD_U], ids=["returns", "raises"])
+    def test_no_thread_outlives_the_call(self, u):
+        before = set(threading.enumerate())
+        try:
+            triangular_inverses(GOOD_L, u)
+        except DecompositionError:
+            pass
+        assert set(threading.enumerate()) == before
+
+    @pytest.mark.parametrize("failing", ["caller", "helper"])
+    def test_level_loop_failure_raises_after_the_join(self, monkeypatch, failing):
+        caller = threading.current_thread()
+        solve = inverse._LevelInverse.solve
+
+        def solve_or_fail(self):
+            on_caller = threading.current_thread() is caller
+            if on_caller == (failing == "caller"):
+                raise MemoryError(f"no room on the {failing} thread")
+            solve(self)
+
+        monkeypatch.setattr(inverse._LevelInverse, "solve", solve_or_fail)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match=failing):
+            triangular_inverses(GOOD_L, GOOD_U)
+        assert set(threading.enumerate()) == before
 
     def test_formats(self, system_matrix):
         from repro.sparse import CSRMatrix
@@ -210,6 +278,71 @@ class TestTriangularInverses:
             triangular_inverses(
                 sp.identity(3, format="csc"), sp.identity(4, format="csc")
             )
+
+
+# Inverts a random triangular pair in a fresh process and prints how much
+# of the Anonymous: growth was freed memory that malloc kept.
+_KEPT_GARBAGE_SCRIPT = """
+import ctypes, gc, json
+import numpy as np
+import scipy.sparse as sp
+from repro.lu import triangular_inverses
+
+def anonymous_kb():
+    with open("/proc/self/smaps_rollup") as f:
+        for line in f:
+            if line.startswith("Anonymous:"):
+                return int(line.split()[1])
+
+n, density = 1200, 0.1
+rng = np.random.default_rng(1)
+
+def strictly_lower():
+    m = sp.tril(sp.random(n, n, density=density, random_state=rng), k=-1)
+    return m / (density * n)  # rows sum below 1: the inverses stay bounded
+
+ell = (sp.identity(n) + strictly_lower()).tocsc()
+u = (sp.diags(1.0 + rng.random(n)) + strictly_lower().T).tocsc()
+libc = ctypes.CDLL("libc.so.6")
+gc.collect()
+libc.malloc_trim(0)
+before = anonymous_kb()
+l_inv, u_inv = triangular_inverses(ell, u)
+gc.collect()
+after = anonymous_kb()
+libc.malloc_trim(0)
+print(json.dumps({
+    "inverse_bytes": 16 * (l_inv.nnz + u_inv.nnz),
+    "growth_kb": after - before,
+    "growth_after_trim_kb": anonymous_kb() - before,
+}))
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="reads /proc/self/smaps_rollup and calls glibc's malloc_trim",
+)
+def test_inversion_leaves_no_helper_thread_garbage():
+    """The helper thread allocates nothing the size of a factor.
+
+    glibc gives each thread its own malloc arena, and what a thread frees
+    there stays resident; the pools fork right after a build, so their
+    workers would carry it.  With a whole factor inverted on the helper
+    thread, this pair leaves about 7 MB of freed memory resident, against
+    about 1.5 MB with only the level loop there.
+    """
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _KEPT_GARBAGE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    figures = json.loads(proc.stdout)
+    assert figures["inverse_bytes"] >= 10 * 2**20
+    kept_kb = figures["growth_kb"] - figures["growth_after_trim_kb"]
+    assert kept_kb < 4 * 1024, figures
 
 
 class TestSolve:
