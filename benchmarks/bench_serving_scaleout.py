@@ -18,20 +18,15 @@ published snapshot of a scale-free graph:
 4. **update churn soak** — queries interleaved with publisher batches
    and snapshot hot-swaps, with a single-process reference asserting
    the pool's answers stay **bit-identical** across every swap.
-5. **precision tiers** — the same stream served ``bounded`` through the
-   pool must return byte-identical items to the exact run (certified
-   answers are exact-rescored; gap overlaps escalate) with reconciled
-   fast-path/escalation counters.
 
 Regression gate (machine-independent, ROADMAP item 4(b))
 --------------------------------------------------------
 Wall-clock numbers are trajectory only.  ``--check BENCH_scaleout.json``
 gates on the **invariants** — booleans that hold on any hardware:
 churn-soak bit-identity, full answer accounting, the consistent-hash
-hit-rate win on a zipf stream, live telemetry artifacts, and the
-precision-tier identity + reconciliation above.  A committed invariant
-that flips (or goes missing) exits 1; numbers drifting is fine,
-semantics drifting is not.
+hit-rate win on a zipf stream and live telemetry artifacts.  A
+committed invariant that flips (or goes missing) exits 1; numbers
+drifting is fine, semantics drifting is not.
 
 Run standalone for wall-clock tables::
 
@@ -79,8 +74,6 @@ INVARIANT_KEYS = (
     "routing_affinity_wins",
     "churn_exact",
     "telemetry_spans_present",
-    "precision_identical",
-    "precision_reconciled",
 )
 
 
@@ -279,45 +272,6 @@ def bench_telemetry(snapshot, workers, queries, batch_size,
     return row
 
 
-def bench_precision(snapshot, workers, queries, batch_size) -> Dict:
-    """Section 6: the precision tiers through the pool.
-
-    Uncached workers (cache_size=0) so the bounded stream actually runs
-    the CPI-verify-or-escalate path; the exact stream is the reference.
-    Bounded items must be byte-identical, and every bounded scan must be
-    accounted as either fast-path or escalated.
-    """
-    with ReplicaPool(snapshot, workers, cache_size=0) as pool:
-        scheduler = MicroBatchScheduler(pool, batch_size=batch_size)
-        want = scheduler.run(queries, K)
-        before = scheduler.aggregate_stats(scheduler.collect_stats())
-        t0 = time.perf_counter()
-        got = scheduler.run(queries, K, precision="bounded(1e-08)")
-        seconds = time.perf_counter() - t0
-        after = scheduler.aggregate_stats(scheduler.collect_stats())
-    attempts = after["fast_path_queries"] + after["escalated_queries"]
-    bounded_scans = after["scans_executed"] - before["scans_executed"]
-    row = {
-        "workers": workers,
-        "queries": len(queries),
-        "seconds": seconds,
-        "queries_per_second": len(queries) / seconds,
-        "fast_path_queries": after["fast_path_queries"],
-        "escalated_queries": after["escalated_queries"],
-        "escalation_rate": round(after["escalation_rate"], 4),
-        "identical_to_exact": [r.items for r in got] == [r.items for r in want],
-        "reconciled": attempts == bounded_scans and attempts > 0,
-    }
-    print(
-        f"  bounded(1e-08) over {workers} workers: "
-        f"{row['fast_path_queries']} fast path / "
-        f"{row['escalated_queries']} escalated "
-        f"(rate {row['escalation_rate']:.2f}), "
-        f"byte-identical to exact: {row['identical_to_exact']}"
-    )
-    return row
-
-
 def collect_invariants(results: Dict) -> Dict:
     """The machine-independent booleans the --check gate holds."""
     runs = (
@@ -335,8 +289,6 @@ def collect_invariants(results: Dict) -> Dict:
         "telemetry_spans_present": (
             results["telemetry"]["spans"] > 0 and results["telemetry"]["traces"] > 0
         ),
-        "precision_identical": bool(results["precision"]["identical_to_exact"]),
-        "precision_reconciled": bool(results["precision"]["reconciled"]),
     }
 
 
@@ -439,12 +391,6 @@ def main() -> int:
         results["telemetry"] = bench_telemetry(
             snapshot, max_workers, queries, config["batch_size"],
             args.metrics_json, args.trace_jsonl,
-        )
-
-        print(f"\nprecision tiers ({max_workers} workers, uncached):")
-        results["precision"] = bench_precision(
-            snapshot, max_workers,
-            queries[: max(100, len(queries) // 10)], config["batch_size"],
         )
 
     top = results["scaleout"][str(config["worker_counts"][-1])]

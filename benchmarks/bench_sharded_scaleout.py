@@ -19,19 +19,14 @@ communities, rare cross-community edges):
    equivalence check against a single-process engine.
 
 Every cell also verifies the planner's answers equal the single-index
-engine's **exactly** (ids, proximities, order) on a query sample.  A
-fourth section drives the precision tiers through the shard pool: no
-shard worker holds the full-graph adjacency the CPI fast path needs, so
-the sharded tier *promotes* every non-exact request to the exact plan —
-answers must stay byte-identical and every such query must be counted
-escalated.
+engine's **exactly** (ids, proximities, order) on a query sample.
 
 Regression gate (machine-independent, ROADMAP item 4(b))
 --------------------------------------------------------
 ``--check BENCH_scaleout.json`` gates on the **invariants** (the
-"sharded" section of the committed file): grid + pool exactness, the
-nonzero skewed skip rate, and the precision promotion contract.  A
-committed invariant that flips (or goes missing) exits 1.
+"sharded" section of the committed file): grid + pool exactness and
+the nonzero skewed skip rate.  A committed invariant that flips (or
+goes missing) exits 1.
 
 Run standalone for wall-clock tables::
 
@@ -74,8 +69,6 @@ INVARIANT_KEYS = (
     "grid_exact",
     "pool_bit_identical",
     "skewed_skip_nonzero",
-    "precision_promoted",
-    "precision_reconciled",
 )
 
 
@@ -218,45 +211,6 @@ def bench_shard_pool(graph, n_shards: int, queries, reference_engine,
     return row
 
 
-def bench_precision_promotion(graph, n_shards: int, queries,
-                              reference_engine) -> Dict:
-    """Section 4: non-exact tiers through the shard pool.
-
-    The scatter-gather plan is the only way a shard worker can answer,
-    so the scheduler promotes bounded/best-effort requests to the exact
-    plan and books them as escalations — never a looser answer.
-    """
-    with tempfile.TemporaryDirectory(prefix="kdash-sharded-prec-") as directory:
-        store = SnapshotStore(directory)
-        dyn = DynamicKDash(graph.copy(), c=C, rebuild_threshold=None)
-        publisher = SnapshotPublisher(
-            QueryEngine(dyn), store, shard_spec=(n_shards, "louvain")
-        )
-        snapshot = publisher.publish()
-        with ShardPool(snapshot) as pool:
-            scheduler = ShardedScheduler(pool, batch_size=16)
-            got = scheduler.run(queries, K, precision="bounded(1e-08)")
-            agg = scheduler.aggregate_stats(scheduler.collect_stats())
-    want = reference_engine.top_k_many(queries, K)
-    row = {
-        "n_shards": n_shards,
-        "queries": len(queries),
-        "fast_path_queries": agg["fast_path_queries"],
-        "escalated_queries": agg["escalated_queries"],
-        "promoted": [r.items for r in got] == [r.items for r in want],
-        "reconciled": (
-            agg["fast_path_queries"] == 0
-            and agg["escalated_queries"] == len(queries)
-        ),
-    }
-    print(
-        f"  bounded(1e-08) over {n_shards} shard workers: "
-        f"{row['escalated_queries']}/{row['queries']} promoted to the exact "
-        f"plan, byte-identical={row['promoted']}"
-    )
-    return row
-
-
 def check_against(invariants: Dict, committed_path: Path) -> int:
     """Gate this run against the committed baseline's sharded section."""
     committed = json.loads(committed_path.read_text())["sharded"]["invariants"]
@@ -346,14 +300,6 @@ def main() -> int:
         trace_path=args.trace_jsonl,
     )
 
-    print("precision tiers (shard pool):")
-    precision_row = bench_precision_promotion(
-        graph,
-        shard_counts[-1],
-        workloads["skewed"][: max(60, n_queries // 8)],
-        engine,
-    )
-
     skewed_skips = [r["skip_rate"] for r in grid if r["workload"] == "skewed"
                     and r["n_shards"] > 1]
     invariants = {
@@ -362,8 +308,6 @@ def main() -> int:
         "skewed_skip_nonzero": bool(
             skewed_skips and min(skewed_skips) > 0.0
         ),
-        "precision_promoted": bool(precision_row["promoted"]),
-        "precision_reconciled": bool(precision_row["reconciled"]),
     }
     report = {
         "config": {
@@ -376,7 +320,6 @@ def main() -> int:
         },
         "planner_grid": grid,
         "shard_pool": pool_row,
-        "precision": precision_row,
         "all_exact": all(r["exact"] for r in grid) and pool_row["bit_identical"],
         "skewed_skip_rate_min": min(skewed_skips) if skewed_skips else 0.0,
         "invariants": invariants,

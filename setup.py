@@ -1,10 +1,16 @@
-"""Legacy setup shim.
+"""Package metadata for ``pip install -e .`` (the repo has no pyproject.toml).
 
-All metadata lives in ``pyproject.toml``; this file only exists so that
-``pip install -e . --no-use-pep517`` works on environments without the
-``wheel`` package (PEP 660 editable installs need it, legacy ones do not).
+The package lives under ``src/``; its only runtime dependencies are
+numpy and scipy.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="repro",
+    version="1.0.0",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy", "scipy"],
+)

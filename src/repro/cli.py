@@ -207,24 +207,7 @@ def _cmd_query(args) -> int:
     index = load_index(args.index)
     if args.batch is not None:
         return _run_batch_query(index, args)
-    spec = getattr(args, "precision", None)
-    if spec and spec != "exact":
-        # Precision tiers live on the engine, not the bare index: route
-        # the single query through a QueryEngine (the engine default is
-        # the exported $REPRO_PRECISION tier).
-        from .query import QueryEngine
-
-        engine = QueryEngine(index)
-        result = engine.top_k(args.node, args.k)
-        stats = engine.last_stats
-        path = (
-            f"fast path, error bound {stats.error_bound:.3g}"
-            if stats.fast_path
-            else "escalated to exact"
-        )
-        print(f"precision {spec}: {path}")
-    else:
-        result = index.top_k(args.node, args.k)
+    result = index.top_k(args.node, args.k)
     print(
         f"top-{args.k} for node {args.node} "
         f"(computed {result.n_computed}/{index.graph.n_nodes} proximities, "
@@ -260,12 +243,6 @@ def _run_sharded_query(args) -> int:
         f"mean fan-out {stats.mean_fan_out:.2f}, "
         f"shard-skip rate {stats.skip_rate:.2f}"
     )
-    spec = getattr(args, "precision", None)
-    if spec and spec != "exact":
-        print(
-            f"  precision {spec}: {stats.fast_path_queries} fast path, "
-            f"{stats.escalated_queries} escalated to the exact plan"
-        )
     if args.batch is None:
         plan = planner.last_plan
         result = results[0]
@@ -302,12 +279,6 @@ def _run_batch_query(index, args) -> int:
         f"{stats.executed} scans executed, "
         f"{stats.dedup_hits} deduped, {stats.cache_hits} cache hits"
     )
-    if stats.precision != "exact":
-        print(
-            f"  precision {stats.precision}: {stats.fast_path} fast path, "
-            f"{stats.escalated} escalated, "
-            f"max error bound {stats.error_bound:.3g}"
-        )
     for query, result in zip(queries, results):
         top_node, top_p = result.items[0]
         print(
@@ -1041,7 +1012,6 @@ def _cmd_loadgen(args) -> int:
             updates_per_batch=args.updates_per_batch,
             seed=args.seed,
             router_name="home" if args.sharded else args.router,
-            precision=getattr(args, "precision", None),
         )
         if args.metrics_json:
             from .obs import write_metrics_json
@@ -1135,7 +1105,6 @@ def _loadgen_connect(args) -> int:
             dist=args.dist,
             timeout_ms=args.timeout_ms,
             seed=args.seed,
-            precision=getattr(args, "precision", None),
         )
         _print_saturation_table(reports)
         payload: dict = {
@@ -1154,7 +1123,6 @@ def _loadgen_connect(args) -> int:
             rate=args.rate,
             timeout_ms=args.timeout_ms,
             seed=args.seed,
-            precision=getattr(args, "precision", None),
         )
         _print_saturation_table([report])
         payload = {
@@ -1306,26 +1274,6 @@ def build_parser() -> argparse.ArgumentParser:
         "backends are bit-identical",
     )
 
-    # Shared by query/serve/loadgen: the precision tier.  Exported as
-    # $REPRO_PRECISION (like the backend) so spawned pool workers serve
-    # the same default tier.
-    precision_parent = argparse.ArgumentParser(add_help=False)
-    precision_parent.add_argument(
-        "--precision",
-        default=None,
-        help="serving precision tier: 'exact' (default; bit-identical "
-        "answers), 'bounded' / 'bounded(1e-4)' (certified approximate "
-        "fast path with exact fallback), or 'best_effort' (approximate "
-        "scores with a reported error bound)",
-    )
-    precision_parent.add_argument(
-        "--eps",
-        type=float,
-        default=None,
-        help="error-bound target for --precision bounded/best_effort "
-        "(overrides the tier default)",
-    )
-
     # Shared by serve and loadgen: the observability surface.
     telemetry_parent = argparse.ArgumentParser(add_help=False)
     telemetry_parent.add_argument(
@@ -1392,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = sub.add_parser(
         "query",
         help="query a saved index",
-        parents=[backend_parent, precision_parent],
+        parents=[backend_parent],
     )
     p_query.add_argument("--index", required=True)
     target = p_query.add_mutually_exclusive_group(required=True)
@@ -1427,7 +1375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser(
         "serve",
         help="run a mixed update/query stream against a saved index",
-        parents=[backend_parent, precision_parent, telemetry_parent],
+        parents=[backend_parent, telemetry_parent],
     )
     p_serve.add_argument("--index", required=True)
     p_serve.add_argument(
@@ -1528,7 +1476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_load = sub.add_parser(
         "loadgen",
         help="drive synthetic traffic through the serving tier",
-        parents=[backend_parent, precision_parent, telemetry_parent],
+        parents=[backend_parent, telemetry_parent],
     )
     p_load.add_argument(
         "--index",
@@ -1626,44 +1574,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_precision_args(args) -> Optional[str]:
-    """Fold ``--precision``/``--eps`` into one canonical spec (or None).
-
-    Returns an error message on a malformed combination; on success the
-    spec is stored back on ``args.precision`` and exported as
-    ``$REPRO_PRECISION`` so spawned pool workers serve the same default
-    tier (mirroring the kernel-backend export).
-    """
-    from .exceptions import InvalidParameterError
-    from .query.approx import PRECISION_ENV_VAR, PrecisionPolicy
-
-    precision = getattr(args, "precision", None)
-    eps = getattr(args, "eps", None)
-    if precision is None and eps is None:
-        return None
-    if precision is None:
-        return "--eps needs --precision bounded or best_effort"
-    if eps is not None and "(" in precision:
-        return "give eps inline in --precision or via --eps, not both"
-    spec = f"{precision}({eps!r})" if eps is not None else precision
-    try:
-        args.precision = PrecisionPolicy.parse(spec).spec
-    except InvalidParameterError as exc:
-        return str(exc)
-    os.environ[PRECISION_ENV_VAR] = args.precision
-    return None
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "backend", None):
         # Exported (not just threaded through) so pool workers spawned
         # by `serve --workers` / `loadgen` inherit the same kernel.
         os.environ[_BACKEND_ENV_VAR] = args.backend
-    error = _resolve_precision_args(args)
-    if error is not None:
-        print(f"error: {error}")
-        return 2
     try:
         return args.func(args)
     except (SerializationError, NodeNotFoundError, InvalidParameterError) as exc:

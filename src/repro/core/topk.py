@@ -44,10 +44,9 @@ class TopKResult:
         Whether zero-proximity nodes were appended to reach ``k``.
     error_bound:
         Certified upper bound on the absolute error of every returned
-        proximity.  Exactly ``0.0`` for exact answers (every
-        pre-existing path); a ``best_effort`` precision-tier answer
-        (:mod:`repro.query.approx`) carries its cumulative
-        power-iteration residual bound here.
+        proximity.  Exactly ``0.0`` for exact answers (every K-dash
+        path); the approximate baselines fill it from their
+        ``error_estimate()``.
     """
 
     query: int

@@ -59,7 +59,7 @@ def run(
         push = ctx.bpa(name, bpa_hubs)
         for k in K_VALUES:
             seconds, _ = time_callable(
-                lambda: [push.top_k(q, k) for q in queries], repeats=1
+                lambda: [push.top_k(q, k) for q in queries], repeats=repeats
             )
             row.append(seconds / len(queries))
         table.add_row(*row)

@@ -18,23 +18,14 @@ Layering (bottom up):
   home shard first, remaining shards in descending bound order, whole
   shards skipped once their bound falls below the running K-th
   proximity — bit-identical answers to the single-index engine;
-- :mod:`repro.query.approx` — the precision tiers:
-  :class:`PrecisionPolicy` (``exact`` / ``bounded(eps)`` /
-  ``best_effort``), the TPA-style cumulative power-iteration fast path
-  with a certified residual bound, and the gap-overlap verifier that
-  escalates to the exact pruned scan whenever the bound overlaps the
-  k/(k+1) score gap;
+- :mod:`repro.query.approx` — :class:`PrecisionPolicy`, the one check
+  of a request's ``precision``: only ``exact`` is served;
 - :mod:`repro.query.stats` — :class:`QueryStats` (per call) and
   :class:`EngineStats` (lifetime aggregates), both epoch/staleness
   aware.
 """
 
-from .approx import (
-    ApproxState,
-    PrecisionPolicy,
-    approx_top_k,
-    cumulative_power_iteration,
-)
+from .approx import PrecisionPolicy
 from .kernel import ScanResult, pruned_scan, scan_to_topk
 from .prepared import PreparedIndex
 from .engine import QueryEngine, RebuildPolicy
@@ -42,10 +33,7 @@ from .planner import PlanStats, PlannerStats, ScatterGatherPlanner
 from .stats import EngineStats, QueryStats
 
 __all__ = [
-    "ApproxState",
     "PrecisionPolicy",
-    "approx_top_k",
-    "cumulative_power_iteration",
     "PreparedIndex",
     "pruned_scan",
     "scan_to_topk",

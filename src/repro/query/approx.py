@@ -1,420 +1,37 @@
-"""Precision tiers: bounded-error approximate serving with exact fallback.
+"""The precision of a top-k request: always ``exact``.
 
-The paper's successors (FAST-PPR, TPA — see PAPERS.md) scaled RWR top-k
-by trading exactness for speed.  This module promotes that trade to a
-first-class, per-request **precision knob** on the query path:
-
-- ``exact`` — today's behaviour: the pruned K-dash scan, bit-identical
-  to every pre-existing answer.  The default everywhere.
-- ``bounded(eps)`` — a TPA-style *cumulative power iteration* (CPI)
-  fast path whose partial sums carry a rigorous one-sided residual
-  bound, followed by a **gap-overlap verifier**: the approximate top-k
-  set is certified exact whenever the k-th/(k+1)-th approximate score
-  gap exceeds the bound; certified answers are re-scored through the
-  exact kernel reduction (so returned items are byte-identical to the
-  exact scan's), and unresolvable gaps **escalate** to the exact pruned
-  scan.  Bounded mode therefore never returns a wrong top-k set.
-- ``best_effort`` — the CPI fast path alone, returning approximate
-  scores plus the reported residual bound, never escalating.  Cheap
-  traffic gets cheap answers with an honest error estimate.
-
-The mathematics (why the bound is one-sided and rigorous)
----------------------------------------------------------
-RWR proximity solves ``p = (1-c)·A·p + c·q``, equivalently the Neumann
-series ``p = c · Σ_t ((1-c)A)^t q``.  CPI accumulates the partial sums
-``p̃_T = c · Σ_{t≤T} w_t`` with ``w_t = ((1-c)A)^t q``.  Every term is
-non-negative, so ``p̃ ≤ p`` entrywise, and the dropped tail satisfies
-
-    ``‖p − p̃_T‖_1 = c·Σ_{t>T} ‖w_t‖_1 ≤ (1-c)·‖w_T‖_1``
-
-because ``A`` is column-substochastic (``‖w_{t+1}‖_1 ≤ (1-c)‖w_t‖_1``).
-That L1 tail bounds every single entry: ``p[v] ∈ [p̃[v], p̃[v] + b]``
-with ``b = (1-c)·‖w_T‖_1``, the geometric (1-c)^T convergence of
-Section 3 of the paper made per-iteration and certifiable.
-
-The gap-overlap verifier then certifies the *set*: if the k-th largest
-approximate score exceeds the (k+1)-th by more than ``b``, every true
-score inside the approximate top-k strictly dominates every true score
-outside it, so the set equals the exact top-k set.  Any overlap (ties
-included) escalates — there is no silent wrong set.
+Every top-k request runs Algorithm 4's pruned scan, so every answer is
+exact.  :class:`PrecisionPolicy` is the one check of a request's
+``precision`` value: the scheduler's ``submit`` and the front door
+accept ``None`` or ``"exact"`` and refuse anything else.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
-
-from ..core.topk import TopKResult, pad_items, rank_items
 from ..exceptions import InvalidParameterError
 
-#: Recognised precision modes, in increasing cheapness.
-PRECISION_MODES = ("exact", "bounded", "best_effort")
 
-#: Environment variable consulted when no policy is given explicitly —
-#: the deployment switch, mirroring ``REPRO_KERNEL_BACKEND``.  Accepts
-#: the same specs as :meth:`PrecisionPolicy.parse`.
-PRECISION_ENV_VAR = "REPRO_PRECISION"
-
-#: Default residual-bound target of ``bounded`` mode.
-DEFAULT_BOUNDED_EPS = 1e-6
-#: Default (looser) target of ``best_effort`` mode.
-DEFAULT_BEST_EFFORT_EPS = 1e-3
-#: Iteration budget of the fast path; generous because the contraction
-#: factor (1-c) converges geometrically (paper Section 3).
-DEFAULT_MAX_ITERATIONS = 10_000
-
-# Absolute cushion added to the certification inequality.  The CPI
-# bound is exact in real arithmetic; the cushion absorbs float rounding
-# of the partial sums (same spirit as the 1e-12 total-mass clamp in
-# PreparedIndex.seed_workspace).  Escalating on a hair's-width gap is
-# always safe; certifying one would not be.
-CERTIFY_MARGIN = 1e-12
-
-
-@dataclass(frozen=True)
 class PrecisionPolicy:
-    """One precision tier: mode, error target, and iteration budget.
-
-    Instances are immutable and hashable, so they ride in cache keys
-    and batch envelopes unchanged.
+    """The exact tier, the only one served.
 
     Examples
     --------
-    >>> PrecisionPolicy.parse("exact").is_exact
-    True
-    >>> PrecisionPolicy.parse("bounded(1e-4)").eps
-    0.0001
-    >>> PrecisionPolicy.parse("best_effort").spec
-    'best_effort(0.001)'
-    >>> PrecisionPolicy.resolve(None).mode    # no env set -> exact
+    >>> PrecisionPolicy.resolve(None).spec
     'exact'
+    >>> PrecisionPolicy.resolve("bounded")
+    Traceback (most recent call last):
+        ...
+    repro.exceptions.InvalidParameterError: unknown precision 'bounded'; only 'exact' is served
     """
 
-    mode: str = "exact"
-    eps: float = DEFAULT_BOUNDED_EPS
-    max_iterations: int = DEFAULT_MAX_ITERATIONS
-
-    def __post_init__(self) -> None:
-        if self.mode not in PRECISION_MODES:
-            raise InvalidParameterError(
-                f"unknown precision mode {self.mode!r}; "
-                f"expected one of {PRECISION_MODES}"
-            )
-        if not (isinstance(self.eps, float) and 0.0 < self.eps < 1.0):
-            raise InvalidParameterError(
-                f"precision eps must be a float in (0, 1), got {self.eps!r}"
-            )
-        if not (isinstance(self.max_iterations, int) and self.max_iterations >= 1):
-            raise InvalidParameterError(
-                "precision max_iterations must be a positive int, "
-                f"got {self.max_iterations!r}"
-            )
-
-    # ------------------------------------------------------------------
-    @property
-    def is_exact(self) -> bool:
-        """Whether this tier is the exact (pass-through) tier."""
-        return self.mode == "exact"
-
-    @property
-    def spec(self) -> str:
-        """Canonical string form, round-trippable through :meth:`parse`."""
-        if self.is_exact:
-            return "exact"
-        return f"{self.mode}({self.eps!r})"
-
-    def cache_tag(self) -> Tuple:
-        """Key suffix isolating this tier's cached results from exact
-        ones (empty for exact: the historical keys stay untouched)."""
-        if self.is_exact:
-            return ()
-        return (self.mode, self.eps)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def parse(cls, text: str) -> "PrecisionPolicy":
-        """Parse ``"exact"``, ``"bounded"``, ``"bounded(1e-4)"``,
-        ``"best_effort"`` or ``"best_effort(0.01)"``."""
-        if isinstance(text, PrecisionPolicy):
-            return text
-        if not isinstance(text, str):
-            raise InvalidParameterError(
-                f"precision must be a string or PrecisionPolicy, got {text!r}"
-            )
-        spec = text.strip()
-        eps: Optional[float] = None
-        if spec.endswith(")") and "(" in spec:
-            spec, _, arg = spec[:-1].partition("(")
-            try:
-                eps = float(arg)
-            except ValueError:
-                raise InvalidParameterError(
-                    f"malformed precision eps {arg!r} in {text!r}"
-                ) from None
-        mode = spec.strip()
-        if mode not in PRECISION_MODES:
-            raise InvalidParameterError(
-                f"unknown precision mode {text!r}; "
-                f"expected one of {PRECISION_MODES}"
-            )
-        if mode == "exact":
-            if eps is not None:
-                raise InvalidParameterError(
-                    "exact precision takes no eps argument"
-                )
-            return cls()
-        if eps is None:
-            eps = (
-                DEFAULT_BOUNDED_EPS
-                if mode == "bounded"
-                else DEFAULT_BEST_EFFORT_EPS
-            )
-        return cls(mode=mode, eps=float(eps))
-
-    @classmethod
-    def from_env(cls) -> "PrecisionPolicy":
-        """The policy named by ``$REPRO_PRECISION`` (exact when unset)."""
-        spec = os.environ.get(PRECISION_ENV_VAR, "").strip()
-        if not spec:
-            return cls()
-        return cls.parse(spec)
+    spec = "exact"
 
     @classmethod
     def resolve(cls, value) -> "PrecisionPolicy":
-        """Precedence mirror of the kernel-backend switch: an explicit
-        policy or spec string wins, else ``$REPRO_PRECISION``, else
-        exact."""
-        if value is None:
-            return cls.from_env()
-        return cls.parse(value)
-
-
-#: The shared exact tier (module singleton; policies are value objects,
-#: so identity never matters — this is just allocation thrift).
-EXACT_POLICY = PrecisionPolicy()
-
-
-class ApproxState:
-    """Query-invariant inputs of the CPI fast path for one index epoch.
-
-    Holds the CSR transition matrix the iteration multiplies by.  The
-    engine caches one instance on its :class:`PreparedIndex`
-    (:attr:`~repro.query.prepared.PreparedIndex.approx_state`): the
-    prepared bundle is rebuilt on every rebuild/snapshot swap, so the
-    cached state can never outlive the graph it was derived from.
-    """
-
-    __slots__ = ("adjacency", "c", "n")
-
-    def __init__(self, adjacency, c: float) -> None:
-        self.adjacency = adjacency.tocsr()
-        self.c = float(c)
-        self.n = int(adjacency.shape[0])
-
-    @classmethod
-    def from_graph(cls, graph, c: float) -> "ApproxState":
-        """Derive the state from a live :class:`~repro.graph.DiGraph`."""
-        from ..graph.matrices import column_normalized_adjacency
-
-        return cls(column_normalized_adjacency(graph), c)
-
-
-@dataclass(frozen=True)
-class ApproxVector:
-    """One CPI run: the partial-sum vector and its certified residual.
-
-    ``scores[v] ≤ p[v] ≤ scores[v] + error_bound`` for every node ``v``
-    (one-sided: partial sums of a non-negative series).
-    """
-
-    scores: np.ndarray
-    error_bound: float
-    iterations: int
-    converged: bool
-
-
-def cumulative_power_iteration(
-    state: ApproxState,
-    query: int,
-    eps: float,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> ApproxVector:
-    """Accumulate ``p̃ = c·Σ_{t≤T} ((1-c)A)^t q`` until the residual
-    bound ``(1-c)·‖w_T‖₁`` drops to ``eps`` or the budget runs out.
-
-    Examples
-    --------
-    >>> from repro.graph import star_graph
-    >>> state = ApproxState.from_graph(star_graph(5), c=0.9)
-    >>> vec = cumulative_power_iteration(state, 0, eps=1e-12)
-    >>> vec.converged and vec.error_bound <= 1e-12
-    True
-    >>> float(vec.scores[0]) > float(vec.scores[1]) > 0.0
-    True
-    """
-    n = state.n
-    damp = 1.0 - state.c
-    w = np.zeros(n, dtype=np.float64)
-    w[query] = 1.0
-    p = state.c * w
-    bound = damp  # (1-c)·‖w_0‖₁ with ‖w_0‖₁ = 1
-    iterations = 0
-    while bound > eps and iterations < max_iterations:
-        iterations += 1
-        w = damp * (state.adjacency @ w)
-        p += state.c * w
-        bound = damp * float(w.sum())
-    return ApproxVector(
-        scores=p,
-        error_bound=bound,
-        iterations=iterations,
-        converged=bound <= eps,
-    )
-
-
-def exact_rescore(prepared, query: int, nodes) -> list:
-    """Exact proximities of ``nodes`` w.r.t. ``query``, bit-identical to
-    the kernel's values.
-
-    Replicates the pinned canonical reduction of the ``python``
-    reference backend — sequential ``cumsum`` over the ``U⁻¹`` row in
-    storage order, accumulator starting at +0.0, scaled by ``c`` — on a
-    fresh scatter of the seed column, so a certified bounded answer
-    carries the *same float bit patterns* an exact scan would return.
-    """
-    y = prepared.workspace()
-    prepared.scatter_column(y, query)
-    position = prepared.position_arr
-    indptr = prepared.uinv_indptr_arr
-    indices = prepared.uinv_indices
-    data = prepared.uinv_data
-    c = prepared.c
-    pairs = []
-    for node in nodes:
-        pos = int(position[node])
-        lo, hi = int(indptr[pos]), int(indptr[pos + 1])
-        proximity = (
-            c * float((data[lo:hi] * y[indices[lo:hi]]).cumsum()[-1] + 0.0)
-            if hi > lo
-            else 0.0
-        )
-        pairs.append((int(node), proximity))
-    return pairs
-
-
-@dataclass(frozen=True)
-class ApproxOutcome:
-    """What the precision fast path decided for one query.
-
-    Attributes
-    ----------
-    result:
-        The answer to serve.  Escalated outcomes carry the exact scan's
-        result object verbatim.
-    escalated:
-        Whether the verifier handed the query to the exact path.
-    certified:
-        Whether the gap-overlap check proved the approximate set exact
-        (always ``False`` for best_effort, which never certifies).
-    error_bound:
-        The CPI residual bound — the *reported error estimate*, even
-        when the served answer is exact.
-    iterations:
-        CPI iterations spent before deciding.
-    """
-
-    result: TopKResult
-    escalated: bool
-    certified: bool
-    error_bound: float
-    iterations: int
-
-
-def approx_top_k(
-    prepared,
-    state: ApproxState,
-    query: int,
-    k: int,
-    policy: PrecisionPolicy,
-    exact_fallback: Callable[[], TopKResult],
-) -> ApproxOutcome:
-    """Serve one top-k query at the requested precision tier.
-
-    ``bounded``: CPI → gap-overlap verification → exact rescoring of
-    the certified set, or escalation through ``exact_fallback`` (the
-    caller's exact pruned scan) whenever the bound overlaps the
-    k/(k+1) gap — including exact ties, which no finite bound can
-    resolve.  ``best_effort``: CPI alone; the approximate scores ship
-    with their residual bound and never escalate.
-    """
-    n = state.n
-    vec = cumulative_power_iteration(
-        state, query, policy.eps, policy.max_iterations
-    )
-    scores = vec.scores
-    nz = np.flatnonzero(scores)
-    if policy.mode == "best_effort":
-        ranked = rank_items(
-            [(int(i), float(scores[i])) for i in nz], k
-        )
-        items, padded = pad_items(ranked, k, n)
-        result = TopKResult(
-            query=int(query),
-            k=int(k),
-            items=items,
-            n_visited=int(nz.size),
-            n_computed=int(nz.size),
-            n_pruned=0,
-            terminated_early=not vec.converged,
-            padded=padded,
-            error_bound=vec.error_bound,
-        )
-        return ApproxOutcome(
-            result=result,
-            escalated=False,
-            certified=False,
-            error_bound=vec.error_bound,
-            iterations=vec.iterations,
-        )
-
-    # bounded: certify or escalate.  The (k+1)-th approximate score is
-    # 0.0 when fewer than k+1 nodes were reached — correct, because an
-    # unreached node's true score is at most the bound.
-    certified = False
-    if vec.converged and k < n and nz.size >= k:
-        order = np.lexsort((nz, -scores[nz]))
-        kth = float(scores[nz[order[k - 1]]])
-        next_score = float(scores[nz[order[k]]]) if nz.size > k else 0.0
-        certified = (kth - next_score) > vec.error_bound + CERTIFY_MARGIN
-        if certified:
-            top_nodes = [int(nz[i]) for i in order[:k]]
-            ranked = rank_items(exact_rescore(prepared, query, top_nodes), k)
-            items, padded = pad_items(ranked, k, n)
-            result = TopKResult(
-                query=int(query),
-                k=int(k),
-                items=items,
-                n_visited=int(nz.size),
-                n_computed=int(k),
-                n_pruned=0,
-                terminated_early=False,
-                padded=padded,
+        """The policy for ``None`` or ``"exact"``; anything else raises
+        :class:`~repro.exceptions.InvalidParameterError`."""
+        if value is not None and value != cls.spec:
+            raise InvalidParameterError(
+                f"unknown precision {value!r}; only 'exact' is served"
             )
-            return ApproxOutcome(
-                result=result,
-                escalated=False,
-                certified=True,
-                error_bound=vec.error_bound,
-                iterations=vec.iterations,
-            )
-    result = exact_fallback()
-    return ApproxOutcome(
-        result=result,
-        escalated=True,
-        certified=False,
-        error_bound=vec.error_bound,
-        iterations=vec.iterations,
-    )
+        return cls()

@@ -43,7 +43,6 @@ from ..core.topk import TopKResult
 from ..exceptions import InvalidParameterError
 from ..obs.metrics import NULL_REGISTRY
 from ..validation import check_k, check_node_id, check_non_negative_int
-from .approx import ApproxState, PrecisionPolicy, approx_top_k
 from .kernel import pruned_scan, scan_to_topk
 from .stats import EngineStats, QueryStats
 
@@ -145,13 +144,6 @@ class QueryEngine:
         :data:`~repro.obs.metrics.NULL_REGISTRY`, keeping the hot path
         at a single ``enabled`` attribute check — the ≤5% overhead
         budget of ``tests/unit/test_obs_overhead.py``.
-    precision:
-        Default :class:`~repro.query.approx.PrecisionPolicy` (or spec
-        string) for ``top_k``/``top_k_many`` when a call does not name
-        one.  ``None`` consults ``$REPRO_PRECISION`` and falls back to
-        exact — the same precedence ladder as the kernel-backend
-        switch.  Non-exact tiers apply only to the top-k modes;
-        threshold and personalized queries always serve exactly.
 
     Examples
     --------
@@ -185,7 +177,6 @@ class QueryEngine:
         history_size: int = 64,
         rebuild_policy: Optional[RebuildPolicy] = None,
         registry=None,
-        precision=None,
     ) -> None:
         # Duck-typed dynamic detection keeps the import graph acyclic
         # (core.kdash itself imports this package).
@@ -204,9 +195,6 @@ class QueryEngine:
                 "rebuild_policy requires a DynamicKDash-backed engine"
             )
         self.rebuild_policy = rebuild_policy
-        #: Default precision tier of the top-k modes (exact unless the
-        #: caller or $REPRO_PRECISION says otherwise).
-        self.precision = PrecisionPolicy.resolve(precision)
         #: The metrics sink; NULL_REGISTRY (enabled=False) unless the
         #: caller opted into telemetry.
         self.metrics = NULL_REGISTRY if registry is None else registry
@@ -429,10 +417,6 @@ class QueryEngine:
         results: Sequence[TopKResult],
         executed_flags: Optional[Sequence[bool]] = None,
         corrected: bool = False,
-        precision: str = "exact",
-        fast_path: int = 0,
-        escalated: int = 0,
-        error_bound: float = 0.0,
     ) -> None:
         """Build the per-call QueryStats record and fold the aggregates."""
         executed = (
@@ -454,15 +438,8 @@ class QueryEngine:
             epoch=self.epoch,
             pending_rank=self._pending_rank(),
             corrected=corrected,
-            precision=precision,
-            fast_path=fast_path,
-            escalated=escalated,
-            error_bound=error_bound,
         )
-        # Approximate-tier calls are excluded from the latency EWMAs:
-        # RebuildPolicy.max_slowdown compares corrected scans against
-        # the *clean pruned* profile, which a CPI fast path is not.
-        if executed and mode != "top_k_ablation" and precision == "exact":
+        if executed and mode != "top_k_ablation":
             per_scan = seconds / len(executed)
             if corrected:
                 self._corrected_seconds = self._ewma(
@@ -496,11 +473,6 @@ class QueryEngine:
                 stats.mode
             )
         handles["call_seconds"].observe(stats.seconds)
-        if stats.fast_path:
-            # A second live observation only on approximate fast-path
-            # calls: the reported residual bound cannot be reconstructed
-            # at scrape time, and exact traffic never reaches this line.
-            handles["error_bound"].observe(stats.error_bound)
 
     def _sync_metrics(self) -> None:
         """Scrape-time collector: mirror lifetime aggregates into the
@@ -518,8 +490,6 @@ class QueryEngine:
             handles["visited"].value = agg.n_visited
             handles["computed"].value = agg.n_computed
             handles["pruned"].value = agg.n_pruned
-            handles["fast_path"].value = agg.fast_path_queries
-            handles["escalated"].value = agg.escalated_queries
             handles["epoch"].value = self.epoch
             handles["pending_rank"].value = self._pending_rank()
             handles["cache_entries"].value = len(self._cache)
@@ -566,23 +536,6 @@ class QueryEngine:
                 "repro_engine_corrected_scans_total",
                 help="scans served on the Woodbury-corrected path",
             ),
-            "fast_path": metrics.counter(
-                "repro_engine_fast_path_total",
-                help="queries answered by the approximate precision fast path",
-            ),
-            "escalated": metrics.counter(
-                "repro_engine_escalated_total",
-                help="queries escalated to the exact path by the "
-                "gap-overlap verifier (or a pending correction)",
-            ),
-            "error_bound": metrics.histogram(
-                "repro_engine_error_bound",
-                help="reported CPI residual bound of fast-path answers",
-                labels={"mode": mode},
-                # Log-spaced error edges: the default ladder is tuned
-                # for latencies; residual bounds live in 1e-12 .. 1e-1.
-                bounds=tuple(10.0 ** e for e in range(-12, 0)),
-            ),
             "epoch": metrics.gauge("repro_engine_epoch", help="update epoch"),
             "pending_rank": metrics.gauge(
                 "repro_engine_pending_rank",
@@ -600,29 +553,6 @@ class QueryEngine:
         return (1.0 - _LATENCY_EWMA_ALPHA) * current + _LATENCY_EWMA_ALPHA * sample
 
     # ------------------------------------------------------------------
-    # Precision plumbing
-    # ------------------------------------------------------------------
-    def _policy_of(self, precision) -> PrecisionPolicy:
-        """Per-call precision: an explicit policy/spec wins, else the
-        engine default (``None`` here never re-reads the environment —
-        the env var was resolved once at construction)."""
-        if precision is None:
-            return self.precision
-        return PrecisionPolicy.parse(precision)
-
-    def _approx_state(self) -> ApproxState:
-        """The CPI inputs for the current index, cached on its
-        :class:`~repro.query.prepared.PreparedIndex` (a rebuild or
-        snapshot swap installs a fresh bundle, invalidating this with
-        it)."""
-        prepared = self.index._prepared
-        state = prepared.approx_state
-        if state is None:
-            state = ApproxState.from_graph(self.index.graph, prepared.c)
-            prepared.approx_state = state
-        return state
-
-    # ------------------------------------------------------------------
     # Query surface
     # ------------------------------------------------------------------
     def top_k(
@@ -631,7 +561,6 @@ class QueryEngine:
         k: int = 5,
         prune: bool = True,
         root: Optional[int] = None,
-        precision=None,
     ) -> TopKResult:
         """Single top-k query; identical answers to ``index.top_k``.
 
@@ -640,17 +569,7 @@ class QueryEngine:
         experiments, not serving.  Under pending updates every variant
         serves the exact corrected vector (which is exhaustive anyway,
         subsuming both ablations).
-
-        ``precision`` selects the tier for this call (policy or spec
-        string; ``None`` = the engine default).  Exact requests take
-        the historical path untouched; bounded requests serve the CPI
-        fast path when the gap-overlap verifier certifies the set and
-        escalate to this very exact path otherwise; best-effort
-        requests always serve the fast path with a reported bound.
-        Ablation variants ignore the knob — they exist to measure the
-        exact kernel.
         """
-        policy = self._policy_of(precision)
         t0 = perf_counter()
         self._sync_epoch()
         pending = self._pending_rank()
@@ -665,8 +584,6 @@ class QueryEngine:
             return result
         query = check_node_id(query, self.index.graph.n_nodes, "query")
         k = check_k(k)
-        if not policy.is_exact:
-            return self._top_k_approx(query, k, policy, t0, pending)
         key = ("topk", query, k)
         cached = self._cache_get(key)
         if cached is not None:
@@ -682,66 +599,7 @@ class QueryEngine:
             self._maybe_rebuild()
         return result
 
-    def _top_k_approx(
-        self,
-        query: int,
-        k: int,
-        policy: PrecisionPolicy,
-        t0: float,
-        pending: int,
-    ) -> TopKResult:
-        """Serve one validated top-k query at a non-exact tier.
-
-        Cache discipline: the exact key is consulted first — an exact
-        cached answer satisfies every tier — then the tier's own key.
-        Escalated answers are exact scans, so they land under the exact
-        key (warming exact traffic too); fast-path answers stay under
-        the tier key, where no exact request can ever see them.
-        """
-        exact_key = ("topk", query, k)
-        mode_key = exact_key + policy.cache_tag()
-        for key in (exact_key, mode_key):
-            cached = self._cache_get(key)
-            if cached is not None:
-                self._record(
-                    "top_k", 1, 1, 0, t0, [cached],
-                    executed_flags=[False], precision=policy.mode,
-                )
-                return cached
-        if pending:
-            # The exact corrected path subsumes every precision
-            # contract; count it as an escalation (fast path skipped).
-            result = self._dynamic.top_k(query, k)
-            self._cache_put(exact_key, result)
-            self._record(
-                "top_k", 1, 0, 0, t0, [result], corrected=True,
-                precision=policy.mode, escalated=1,
-            )
-            self._maybe_rebuild()
-            return result
-        outcome = approx_top_k(
-            self.index._prepared,
-            self._approx_state(),
-            query,
-            k,
-            policy,
-            lambda: self.index.top_k(query, k),
-        )
-        self._cache_put(
-            exact_key if outcome.escalated else mode_key, outcome.result
-        )
-        self._record(
-            "top_k", 1, 0, 0, t0, [outcome.result],
-            precision=policy.mode,
-            fast_path=0 if outcome.escalated else 1,
-            escalated=1 if outcome.escalated else 0,
-            error_bound=0.0 if outcome.escalated else outcome.error_bound,
-        )
-        return outcome.result
-
-    def top_k_many(
-        self, queries: Iterable[int], k: int = 5, precision=None
-    ) -> List[TopKResult]:
+    def top_k_many(self, queries: Iterable[int], k: int = 5) -> List[TopKResult]:
         """Batched top-k: one reused workspace, deduped, cache-backed.
 
         Results come back in input order; duplicate queries share one
@@ -751,12 +609,7 @@ class QueryEngine:
         Under pending updates the batch runs on the corrected path, still
         deduped and cache-backed; the per-batch Woodbury pieces are
         computed once and shared across the whole batch.
-
-        ``precision`` applies the tier to the whole batch (the serving
-        schedulers group mixed-precision traffic into per-tier
-        sub-batches before calling here).
         """
-        policy = self._policy_of(precision)
         t0 = perf_counter()
         self._sync_epoch()
         index = self.index
@@ -771,9 +624,7 @@ class QueryEngine:
         qlist = qarr.tolist()
 
         if self._pending_rank():
-            return self._top_k_many_corrected(qlist, k, t0, policy)
-        if not policy.is_exact:
-            return self._top_k_many_approx(qlist, k, policy, t0)
+            return self._top_k_many_corrected(qlist, k, t0)
 
         resolved: dict = {}
         executed: List[TopKResult] = []
@@ -828,19 +679,9 @@ class QueryEngine:
         return results
 
     def _top_k_many_corrected(
-        self,
-        qlist: List[int],
-        k: int,
-        t0: float,
-        policy: Optional[PrecisionPolicy] = None,
+        self, qlist: List[int], k: int, t0: float
     ) -> List[TopKResult]:
-        """The pending-updates batch path: corrected, deduped, cached.
-
-        Non-exact tiers land here too — the corrected path is exact, so
-        every precision contract holds; such queries are counted as
-        escalations (the fast path was skipped, not taken).
-        """
-        exact_tier = policy is None or policy.is_exact
+        """The pending-updates batch path: corrected, deduped, cached."""
         resolved: dict = {}
         executed: List[TopKResult] = []
         cache_hits = 0
@@ -868,68 +709,8 @@ class QueryEngine:
             t0,
             executed,
             corrected=True,
-            precision="exact" if exact_tier else policy.mode,
-            escalated=0 if exact_tier else len(executed),
         )
         self._maybe_rebuild()
-        return results
-
-    def _top_k_many_approx(
-        self, qlist: List[int], k: int, policy: PrecisionPolicy, t0: float
-    ) -> List[TopKResult]:
-        """The non-exact batch path: deduped, cache-backed, per-query
-        verify-or-escalate through :func:`repro.query.approx.approx_top_k`.
-        """
-        index = self.index
-        prepared = index._prepared
-        state = self._approx_state()
-        resolved: dict = {}
-        executed: List[TopKResult] = []
-        cache_hits = 0
-        dedup_hits = 0
-        fast_path = 0
-        escalated = 0
-        error_bound = 0.0
-        for q in qlist:
-            if q in resolved:
-                dedup_hits += 1
-                continue
-            exact_key = ("topk", q, k)
-            mode_key = exact_key + policy.cache_tag()
-            cached = self._cache_get(exact_key)
-            if cached is None:
-                cached = self._cache_get(mode_key)
-            if cached is not None:
-                resolved[q] = cached
-                cache_hits += 1
-                continue
-            outcome = approx_top_k(
-                prepared, state, q, k, policy,
-                lambda query=q: index.top_k(query, k),
-            )
-            if outcome.escalated:
-                escalated += 1
-                self._cache_put(exact_key, outcome.result)
-            else:
-                fast_path += 1
-                if outcome.error_bound > error_bound:
-                    error_bound = outcome.error_bound
-                self._cache_put(mode_key, outcome.result)
-            resolved[q] = outcome.result
-            executed.append(outcome.result)
-        results = [resolved[q] for q in qlist]
-        self._record(
-            "top_k_many",
-            len(qlist),
-            cache_hits,
-            dedup_hits,
-            t0,
-            executed,
-            precision=policy.mode,
-            fast_path=fast_path,
-            escalated=escalated,
-            error_bound=error_bound,
-        )
         return results
 
     def above_threshold(self, query: int, threshold: float) -> TopKResult:

@@ -45,7 +45,6 @@ from ..core.sharded import ShardedIndex, canonical_heap, merge_candidates
 from ..core.topk import TopKResult
 from ..exceptions import InvalidParameterError
 from ..validation import check_k, check_node_id
-from .approx import ApproxState, PrecisionPolicy, approx_top_k
 from .kernel import ScanResult, scan_to_topk
 
 
@@ -60,12 +59,6 @@ class PlanStats:
     nodes_checked: int
     nodes_computed: int
     corrected: bool = False
-    #: Served by the precision fast path (no shard was scanned).
-    fast_path: bool = False
-    #: A non-exact request the verifier handed to the exact plan.
-    escalated: bool = False
-    #: Reported CPI residual bound of a fast-path answer.
-    error_bound: float = 0.0
 
     @property
     def fan_out(self) -> int:
@@ -84,9 +77,6 @@ class PlannerStats:
     nodes_checked: int = 0
     nodes_computed: int = 0
     reshards: int = 0
-    fast_path_queries: int = 0
-    escalated_queries: int = 0
-    error_bound_max: float = 0.0
     _n_shards: int = field(default=0, repr=False)
 
     def record(self, plan: PlanStats, n_shards: int) -> None:
@@ -96,28 +86,20 @@ class PlannerStats:
         self.shards_skipped += plan.shards_skipped
         self.nodes_checked += plan.nodes_checked
         self.nodes_computed += plan.nodes_computed
-        self.fast_path_queries += int(plan.fast_path)
-        self.escalated_queries += int(plan.escalated)
-        if plan.error_bound > self.error_bound_max:
-            self.error_bound_max = plan.error_bound
         self._n_shards = n_shards
 
     @property
     def skip_rate(self) -> float:
         """Skipped share of the non-home shard visits a naive scatter
-        would have made (0.0 until a multi-shard query ran).  Precision
-        fast-path answers scan no shard at all, so they sit outside
-        both numerator and denominator."""
-        planned = self.queries - self.fast_path_queries
-        possible = planned * max(self._n_shards - 1, 0)
+        would have made (0.0 until a multi-shard query ran)."""
+        possible = self.queries * max(self._n_shards - 1, 0)
         return (self.shards_skipped / possible) if possible else 0.0
 
     @property
     def mean_fan_out(self) -> float:
-        """Average shards scanned per *planned* query (1.0 = pure
-        home-shard hits; fast-path answers scan no shard)."""
-        planned = self.queries - self.fast_path_queries
-        return (self.shards_visited / planned) if planned else 0.0
+        """Average shards scanned per query (1.0 = pure home-shard
+        hits)."""
+        return (self.shards_visited / self.queries) if self.queries else 0.0
 
     def as_dict(self) -> dict:
         return {
@@ -130,9 +112,6 @@ class PlannerStats:
             "nodes_checked": self.nodes_checked,
             "nodes_computed": self.nodes_computed,
             "reshards": self.reshards,
-            "fast_path_queries": self.fast_path_queries,
-            "escalated_queries": self.escalated_queries,
-            "error_bound_max": self.error_bound_max,
         }
 
 
@@ -209,7 +188,7 @@ class Gather:
         )
         return scan_to_topk(self.query, self.k, self.n, scan)
 
-    def plan(self, escalated: bool = False) -> PlanStats:
+    def plan(self) -> PlanStats:
         """This query's plan accounting."""
         return PlanStats(
             query=self.query,
@@ -218,7 +197,6 @@ class Gather:
             shards_skipped=self.skipped,
             nodes_checked=self.checked,
             nodes_computed=self.computed,
-            escalated=escalated,
         )
 
 
@@ -237,18 +215,6 @@ class ScatterGatherPlanner:
         Optional :class:`~repro.core.dynamic.DynamicKDash` shared with
         the writer.  Pending corrections route queries through the exact
         corrected path; a compaction triggers an automatic re-shard.
-    source_index:
-        The single :class:`~repro.core.kdash.KDash` the shards were
-        sliced from, when the caller still holds it.  Required for the
-        precision fast path (the CPI iterates the *whole-graph*
-        transition matrix, which no shard carries); without it every
-        non-exact request escalates to the exact scatter-gather plan.
-        On a dynamic planner the source follows ``dynamic.base_index``
-        across compactions automatically.
-    precision:
-        Default :class:`~repro.query.approx.PrecisionPolicy` (or spec
-        string) when a ``top_k`` call does not name one; ``None``
-        consults ``$REPRO_PRECISION`` then falls back to exact.
 
     Examples
     --------
@@ -268,8 +234,6 @@ class ScatterGatherPlanner:
         dynamic=None,
         backend=None,
         registry=None,
-        source_index=None,
-        precision=None,
     ) -> None:
         for shard_id, payload in enumerate(sharded.shards):
             if payload is None:
@@ -291,13 +255,6 @@ class ScatterGatherPlanner:
         self._dynamic = dynamic
         self._seen_serial = dynamic.update_serial if dynamic is not None else 0
         self._workspace = sharded.workspace()
-        #: Default precision tier ($REPRO_PRECISION-aware, like the
-        #: engine); per-call overrides win.
-        self.precision = PrecisionPolicy.resolve(precision)
-        if source_index is None and dynamic is not None:
-            source_index = dynamic.base_index
-        self._source_index = source_index
-        self._approx_state: Optional[ApproxState] = None
         self.stats = PlannerStats()
         self.last_plan: Optional[PlanStats] = None
         #: Metrics sink (plan latency, fan-out/skip counters); the
@@ -334,124 +291,45 @@ class ScatterGatherPlanner:
             self._workspace = self._sharded.workspace()
             self._seen_serial = dynamic.update_serial
             self.stats.reshards += 1
-            # The compacted base index is a new object over a new graph:
-            # re-anchor the precision fast path on it.
-            self._source_index = dynamic.base_index
-            self._approx_state = None
         return dynamic.n_pending_columns > 0
 
     # ------------------------------------------------------------------
-    def top_k(self, query: int, k: int = 5, precision=None) -> TopKResult:
-        """Top-k via home-first scatter-gather with shard skipping.
-
-        Exact by default; a non-exact ``precision`` (or planner
-        default) serves the CPI fast path off the source index when the
-        gap-overlap verifier certifies the set, and escalates to this
-        exact plan otherwise — so answers are the exact top-k set
-        whenever the gap is resolvable, and *always* under ``bounded``.
-        """
-        policy = (
-            self.precision
-            if precision is None
-            else PrecisionPolicy.parse(precision)
-        )
+    def top_k(self, query: int, k: int = 5) -> TopKResult:
+        """Top-k via home-first scatter-gather with shard skipping."""
         t0 = perf_counter()
         pending = self._sync()
+        sharded = self._sharded  # _sync may have re-sharded
         if pending:
             result = self._dynamic.top_k(query, k)
             plan = PlanStats(
                 query=int(query),
                 k=int(k),
-                shards_visited=self._sharded.n_shards,
+                shards_visited=sharded.n_shards,
                 shards_skipped=0,
                 nodes_checked=result.n_visited,
                 nodes_computed=result.n_computed,
                 corrected=True,
-                escalated=not policy.is_exact,
             )
-            self.last_plan = plan
-            self.stats.record(plan, self._sharded.n_shards)
-            if self.metrics.enabled:
-                self._observe(plan, perf_counter() - t0)
-            return result
-        if not policy.is_exact:
-            return self._top_k_approx(query, k, policy, t0)
-        return self._top_k_exact(query, k, t0)
-
-    def _top_k_approx(
-        self, query: int, k: int, policy: PrecisionPolicy, t0: float
-    ) -> TopKResult:
-        """Non-exact tiers: CPI + verify when the source index is at
-        hand, escalation to the exact plan otherwise (or on overlap)."""
-        source = self._source_index
-        if source is None:
-            return self._top_k_exact(query, k, t0, escalated=True)
-        sharded = self._sharded
-        query = check_node_id(query, sharded.n, "query")
-        k = check_k(k)
-        state = self._approx_state
-        if state is None:
-            prepared = source._prepared
-            state = self._approx_state = ApproxState.from_graph(
-                source.graph, prepared.c
-            )
-        outcome = approx_top_k(
-            source._prepared,
-            state,
-            query,
-            k,
-            policy,
-            # Escalate into the exact scatter-gather plan itself (not
-            # the source index's single scan): bit-identical answers
-            # either way, but the plan keeps the planner's accounting.
-            lambda: self._top_k_exact(query, k, t0, escalated=True),
-        )
-        if outcome.escalated:
-            # _top_k_exact already recorded the escalated plan.
-            return outcome.result
-        plan = PlanStats(
-            query=int(query),
-            k=int(k),
-            shards_visited=0,
-            shards_skipped=0,
-            nodes_checked=outcome.result.n_visited,
-            nodes_computed=outcome.result.n_computed,
-            fast_path=True,
-            error_bound=outcome.error_bound,
-        )
-        self.last_plan = plan
-        self.stats.record(plan, sharded.n_shards)
-        if self.metrics.enabled:
-            self._observe(plan, perf_counter() - t0)
-        return outcome.result
-
-    def _top_k_exact(
-        self, query: int, k: int = 5, t0: Optional[float] = None,
-        escalated: bool = False,
-    ) -> TopKResult:
-        """The exact scatter-gather plan (the pre-precision ``top_k``)."""
-        if t0 is None:
-            t0 = perf_counter()
-        sharded = self._sharded  # _sync may have re-sharded
-        query = check_node_id(query, sharded.n, "query")
-        k = check_k(k)
-        y, backend = self._workspace, self._backend
-        home = sharded.home_shard(query)
-        gather = Gather(
-            query, k, sharded.n, home,
-            sharded.scan_request(y, home, query, k, home=True, backend=backend),
-        )
-        shard_id = gather.next_shard()
-        while shard_id is not None:
-            gather.absorb(
-                sharded.scan_request(
-                    y, shard_id, query, k, gather.candidates, gather.seed,
-                    backend=backend,
-                )
+        else:
+            query = check_node_id(query, sharded.n, "query")
+            k = check_k(k)
+            y, backend = self._workspace, self._backend
+            home = sharded.home_shard(query)
+            gather = Gather(
+                query, k, sharded.n, home,
+                sharded.scan_request(y, home, query, k, home=True, backend=backend),
             )
             shard_id = gather.next_shard()
-        result = gather.result()
-        plan = gather.plan(escalated)
+            while shard_id is not None:
+                gather.absorb(
+                    sharded.scan_request(
+                        y, shard_id, query, k, gather.candidates, gather.seed,
+                        backend=backend,
+                    )
+                )
+                shard_id = gather.next_shard()
+            result = gather.result()
+            plan = gather.plan()
         self.last_plan = plan
         self.stats.record(plan, sharded.n_shards)
         if self.metrics.enabled:
@@ -478,15 +356,6 @@ class ScatterGatherPlanner:
                     help="planned queries",
                     labels={"path": "corrected"},
                 ),
-                "fast_path": metrics.counter(
-                    "repro_planner_queries_total",
-                    help="planned queries",
-                    labels={"path": "fast_path"},
-                ),
-                "escalated": metrics.counter(
-                    "repro_planner_escalated_total",
-                    help="non-exact requests escalated to the exact plan",
-                ),
                 "visited": metrics.counter(
                     "repro_planner_shards_visited_total", help="shards scanned"
                 ),
@@ -504,27 +373,20 @@ class ScatterGatherPlanner:
                 ),
             }
         handles["seconds"].observe(seconds)
-        if plan.fast_path:
-            handles["fast_path"].inc()
-        else:
-            handles["corrected" if plan.corrected else "pruned"].inc()
-        if plan.escalated:
-            handles["escalated"].inc()
+        handles["corrected" if plan.corrected else "pruned"].inc()
         handles["visited"].inc(plan.shards_visited)
         handles["skipped"].inc(plan.shards_skipped)
         handles["checked"].inc(plan.nodes_checked)
         handles["computed"].inc(plan.nodes_computed)
 
-    def top_k_many(
-        self, queries: Iterable[int], k: int = 5, precision=None
-    ) -> List[TopKResult]:
+    def top_k_many(self, queries: Iterable[int], k: int = 5) -> List[TopKResult]:
         """Plan a batch of queries; results in input order.
 
         Each query reuses the planner's single dense workspace; the
         answers equal per-query :meth:`top_k` calls exactly, which in
         turn equal the single-index engine's batch path.
         """
-        return [self.top_k(int(q), k, precision=precision) for q in queries]
+        return [self.top_k(int(q), k) for q in queries]
 
     # ------------------------------------------------------------------
     def reset_stats(self) -> None:

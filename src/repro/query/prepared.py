@@ -104,7 +104,6 @@ class PreparedIndex:
         "total_mass_perm",
         "l_inv",
         "backend",
-        "approx_state",
         "_amax_col_list",
         "_position_list",
         "_uinv_indptr_list",
@@ -143,10 +142,6 @@ class PreparedIndex:
         self.total_mass_perm = np.asarray(total_mass_perm, dtype=np.float64)
         self.l_inv = l_inv
         self.backend = resolve_backend_name(backend)
-        # Lazily-built CPI inputs of the precision fast path
-        # (repro.query.approx.ApproxState); tied to this bundle's
-        # lifetime so it can never outlive the graph it derives from.
-        self.approx_state = None
         self._amax_col_list = None
         self._position_list = None
         self._uinv_indptr_list = None

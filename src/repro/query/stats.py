@@ -65,20 +65,6 @@ class QueryStats:
     corrected:
         Whether executed scans went through the exact Woodbury-corrected
         (exhaustive) path instead of the pruned fast path.
-    precision:
-        Precision tier the call was served at (``"exact"``,
-        ``"bounded"`` or ``"best_effort"`` — see
-        :mod:`repro.query.approx`).
-    fast_path:
-        Executed queries answered by the approximate fast path
-        (certified bounded answers and best-effort answers).
-    escalated:
-        Executed queries the gap-overlap verifier (or a pending
-        correction) escalated to the exact path.  For non-exact calls
-        ``executed == fast_path + escalated`` always reconciles.
-    error_bound:
-        Largest CPI residual bound reported by this call's fast-path
-        answers (0.0 for exact calls and pure escalations).
     """
 
     mode: str
@@ -93,10 +79,6 @@ class QueryStats:
     epoch: int = 0
     pending_rank: int = 0
     corrected: bool = False
-    precision: str = "exact"
-    fast_path: int = 0
-    escalated: int = 0
-    error_bound: float = 0.0
 
     @property
     def executed(self) -> int:
@@ -131,9 +113,6 @@ class EngineStats:
     n_computed: int = 0
     n_pruned: int = 0
     total_seconds: float = 0.0
-    fast_path_queries: int = 0
-    escalated_queries: int = 0
-    error_bound_max: float = 0.0
     by_mode: Dict[str, int] = field(default_factory=dict)
     update_batches: int = 0
     updates_applied: int = 0
@@ -156,10 +135,6 @@ class EngineStats:
         self.n_computed += stats.n_computed
         self.n_pruned += stats.n_pruned
         self.total_seconds += stats.seconds
-        self.fast_path_queries += stats.fast_path
-        self.escalated_queries += stats.escalated
-        if stats.error_bound > self.error_bound_max:
-            self.error_bound_max = stats.error_bound
         self.by_mode[stats.mode] = self.by_mode.get(stats.mode, 0) + 1
 
     @property
@@ -168,15 +143,6 @@ class EngineStats:
         if self.queries_served == 0:
             return 0.0
         return (self.cache_hits + self.dedup_hits) / self.queries_served
-
-    @property
-    def escalation_rate(self) -> float:
-        """Escalated share of the precision fast-path attempts (0.0
-        until a non-exact query ran)."""
-        attempts = self.fast_path_queries + self.escalated_queries
-        if attempts == 0:
-            return 0.0
-        return self.escalated_queries / attempts
 
     def as_dict(self) -> Dict[str, object]:
         """Flat dict for logging / metrics export."""
@@ -192,10 +158,6 @@ class EngineStats:
             "n_pruned": self.n_pruned,
             "total_seconds": self.total_seconds,
             "hit_rate": self.hit_rate,
-            "fast_path_queries": self.fast_path_queries,
-            "escalated_queries": self.escalated_queries,
-            "escalation_rate": self.escalation_rate,
-            "error_bound_max": self.error_bound_max,
             "by_mode": dict(self.by_mode),
             "update_batches": self.update_batches,
             "updates_applied": self.updates_applied,

@@ -28,22 +28,16 @@ Wire protocol — length-prefixed JSON frames, both directions::
 
     frame    := uint32_be length | payload (UTF-8 JSON object, `length` bytes)
     request  := {"id": any, "op": "query", "query": int, "k": int,
-                 "timeout_ms": number?, "precision": str?,
-                 "eps": number?}               # also: "ping", "info"
+                 "timeout_ms": number?, "precision": "exact"?}
+                                               # also: "ping", "info"
     response := {"id": any, "status": "ok" | "rejected" |
                  "deadline_exceeded" | "draining" | "error",
                  "items": [[node, proximity], ...]?, "epoch": int?,
-                 "precision": str?, "error_bound": number?,
                  "message": str?}
 
-``precision`` selects the serving tier (``"exact"``, ``"bounded"``,
-``"best_effort"``, or a full spec like ``"bounded(1e-4)"``; ``eps``
-overrides the tier's error target).  Requests that omit it are served
-at the backend's default tier with byte-identical responses to the
-pre-precision protocol; requests that carry it get ``precision`` (the
-canonical spec) and ``error_bound`` (the reported CPI residual, 0.0
-for exact answers) echoed in the ``ok`` response.  The terminal-status
-set is unchanged — a malformed precision is an ``error`` like any
+Every answer is exact.  A request may say so with ``"precision":
+"exact"`` and is then answered exactly as one without the field; any
+other ``precision``, or an ``eps`` field, is an ``error`` like any
 other bad field.
 
 JSON ``repr``/parse of a Python float round-trips the IEEE-754 double
@@ -133,17 +127,15 @@ class _Request:
         "req_id",
         "query",
         "k",
-        "precision",
         "deadline",
         "t_recv",
         "conn",
     )
 
-    def __init__(self, req_id, query, k, precision, deadline, t_recv, conn):
+    def __init__(self, req_id, query, k, deadline, t_recv, conn):
         self.req_id = req_id
         self.query = query
         self.k = k
-        self.precision = precision  # canonical spec string or None
         self.deadline = deadline
         self.t_recv = t_recv
         self.conn = conn
@@ -569,7 +561,6 @@ class FrontDoor:
                 req_id,
                 int(frame["query"]),
                 int(frame.get("k", self.default_k)),
-                self._precision_spec(frame),
                 deadline,
                 t_recv,
                 conn,
@@ -592,42 +583,13 @@ class FrontDoor:
             or timeout_ms <= 0
         ):
             return f"timeout_ms must be a positive number, got {timeout_ms!r}"
-        precision = frame.get("precision")
-        eps = frame.get("eps")
-        if eps is not None and (
-            not isinstance(eps, (int, float))
-            or isinstance(eps, bool)
-            or not 0.0 < eps < 1.0
-        ):
-            return f"eps must be a number in (0, 1), got {eps!r}"
-        if precision is None:
-            if eps is not None:
-                return "eps requires a precision field"
-            return None
-        if not isinstance(precision, str):
-            return f"precision must be a string, got {precision!r}"
-        if eps is not None and "(" in precision:
-            return (
-                "give eps inline in precision or as an eps field, not both"
-            )
+        if frame.get("eps") is not None:
+            return "eps is not a request field: every answer is exact"
         try:
-            self._precision_spec(frame)
+            PrecisionPolicy.resolve(frame.get("precision"))
         except InvalidParameterError as exc:
             return str(exc)
         return None
-
-    @staticmethod
-    def _precision_spec(frame: dict) -> Optional[str]:
-        """Canonical precision spec of one validated frame (None = the
-        backend's default tier, i.e. the pre-precision request shape)."""
-        precision = frame.get("precision")
-        if precision is None:
-            return None
-        eps = frame.get("eps")
-        spec = (
-            f"{precision}({float(eps)!r})" if eps is not None else precision
-        )
-        return PrecisionPolicy.parse(spec).spec
 
     async def _wait_capacity(self) -> None:
         while True:
@@ -703,9 +665,7 @@ class FrontDoor:
             answered.append((request, self._failure(request)))
             return
         try:
-            seq = self.scheduler.submit(
-                request.query, request.k, precision=request.precision
-            )
+            seq = self.scheduler.submit(request.query, request.k)
         except ServingError as exc:
             # A full buffer went out to a dead worker.
             self._fail(exc)
@@ -776,14 +736,6 @@ class FrontDoor:
                     for node, proximity in result.items
                 ],
             }
-            if request.precision is not None:
-                # Echo the tier plus the reported error estimate; a
-                # default-tier request keeps the pre-precision response
-                # shape byte-for-byte.
-                response["precision"] = request.precision
-                response["error_bound"] = float(
-                    getattr(result, "error_bound", 0.0)
-                )
             answered.append((request, response))
 
     def _hand_off(self, answered: List[Tuple[_Request, dict]]) -> None:
@@ -870,17 +822,11 @@ class FrontDoorClient:
         k: int = 10,
         timeout_ms: Optional[float] = None,
         req_id=None,
-        precision: Optional[str] = None,
-        eps: Optional[float] = None,
     ) -> dict:
         """One query round-trip; returns the response dict."""
         payload: Dict[str, object] = {"op": "query", "query": int(query), "k": int(k)}
         if timeout_ms is not None:
             payload["timeout_ms"] = timeout_ms
-        if precision is not None:
-            payload["precision"] = precision
-        if eps is not None:
-            payload["eps"] = float(eps)
         if req_id is not None:
             payload["id"] = req_id
         return self.request(payload)

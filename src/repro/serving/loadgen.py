@@ -157,7 +157,6 @@ def run_load(
     updates_per_batch: int = 4,
     seed: int = 0,
     router_name: str = "?",
-    precision=None,
 ) -> LoadgenReport:
     """Push a query stream through a scheduler, optionally churning updates.
 
@@ -181,15 +180,10 @@ def run_load(
     update_batches = updates_applied = snapshots = 0
     seqs: List[int] = []
 
-    # Only forward `precision` when the caller set one: the default call
-    # keeps the pre-tier submit(q, k) signature, which scheduler doubles
-    # in tests (and older schedulers) still implement.
-    submit_kwargs = {} if precision is None else {"precision": precision}
-
     t0 = time.perf_counter()
     for start in range(0, len(queries), chunk):
         for q in queries[start : start + chunk]:
-            seqs.append(scheduler.submit(q, k, **submit_kwargs))
+            seqs.append(scheduler.submit(q, k))
         if update_every and start + chunk < len(queries):
             inserts, deletes = make_update_batch(
                 scratch, updates_per_batch, rng
@@ -347,7 +341,6 @@ def run_open_loop(
     timeout_ms: Optional[float] = None,
     seed: int = 0,
     settle_timeout: float = 60.0,
-    precision: Optional[str] = None,
 ) -> OpenLoopReport:
     """Offer ``queries`` to a front door at ``rate`` req/s, open-loop.
 
@@ -396,8 +389,6 @@ def run_open_loop(
         }
         if timeout_ms is not None:
             payload["timeout_ms"] = timeout_ms
-        if precision is not None:
-            payload["precision"] = precision
         send_times[i] = time.perf_counter()
         try:
             client.send(payload)
@@ -437,7 +428,6 @@ def saturation_sweep(
     dist: str = "zipf",
     timeout_ms: Optional[float] = None,
     seed: int = 0,
-    precision: Optional[str] = None,
 ) -> List[OpenLoopReport]:
     """One :func:`run_open_loop` per offered rate, ascending.
 
@@ -461,7 +451,6 @@ def saturation_sweep(
                 rate=rate,
                 timeout_ms=timeout_ms,
                 seed=seed + i,
-                precision=precision,
             )
         )
     return reports

@@ -26,7 +26,7 @@ Wire protocol (tuples, first element is the kind):
 ===========  =============================================================  ===========
 direction    message                                                        reply
 ===========  =============================================================  ===========
-to replica   ``("batch", batch_id, [(query, k[, prec]), ...])``             ``("results", wid, batch_id, [TopKResult, ...])``
+to replica   ``("batch", batch_id, [(query, k), ...])``                     ``("results", wid, batch_id, [TopKResult, ...])``
 to shard     ``("home", batch_id, [(query, k), ...])``                      ``("partial", wid, batch_id, [(items, bounds, checked, computed, seed), ...])``
 to shard     ``("remote", batch_id, [(query, k, candidates, seed), ...])``  ``("candidates", wid, batch_id, [(items, None, checked, computed), ...])``
 to worker    ``("swap", epoch, path)``                                      ``("swapped", wid, epoch)``
@@ -48,12 +48,6 @@ scanned heap's items (see
 :meth:`~repro.core.sharded.ShardedIndex.scan_request`).  On
 servebench's 2,000-node planted graph a seed column averages about 440
 entries, about 7 KB.
-
-A batch request with a third element ``prec`` carries a precision spec
-string (``"exact"``, ``"bounded(1e-06)"``, ``"best_effort(0.001)"``, see
-:mod:`repro.query.approx`); a default-tier request is the plain
-``(query, k)`` pair, so precision-off serving keeps the pre-precision
-envelope.
 
 Tracing rides the same envelopes: a ``batch``/``home``/``remote``
 message may carry a fourth element — one trace context (or ``None``)
@@ -239,9 +233,9 @@ class ReplicaServer:
         self._span_ids = itertools.count(1)  # process-lifetime span ordinals
 
     def serve(self, kind: str, requests: Sequence[Tuple], ctxs) -> Tuple[list, list]:
-        """Answer one micro-batch of ``(query, k[, precision])`` requests.
+        """Answer one micro-batch of ``(query, k)`` requests.
 
-        Requests are grouped by ``(k, precision)`` so each group runs
+        Requests are grouped by ``k`` so each group runs
         through one :meth:`~repro.query.engine.QueryEngine.top_k_many`
         call (shared workspace + within-batch dedup); answers are
         identical to per-query ``top_k`` calls, so grouping is purely an
@@ -253,16 +247,13 @@ class ReplicaServer:
         """
         t0 = perf_counter()
         engine = self.engine
-        groups: Dict[Tuple[int, Optional[str]], List[int]] = {}
-        for i, request in enumerate(requests):
-            spec = request[2] if len(request) > 2 else None
-            groups.setdefault((int(request[1]), spec), []).append(i)
+        groups: Dict[int, List[int]] = {}
+        for i, (_, k) in enumerate(requests):
+            groups.setdefault(int(k), []).append(i)
         results: List = [None] * len(requests)
         group_stats: List = []
-        for (k, spec), idxs in groups.items():
-            answers = engine.top_k_many(
-                [requests[i][0] for i in idxs], k, precision=spec
-            )
+        for k, idxs in groups.items():
+            answers = engine.top_k_many([requests[i][0] for i in idxs], k)
             for i, answer in zip(idxs, answers):
                 results[i] = answer
             group_stats.append(engine.last_stats)
@@ -488,8 +479,8 @@ class ReplicaPool:
             self.send(worker_id, (kind, batch_id, list(requests), list(ctxs)))
 
     def submit(self, worker_id: int, batch_id: int, requests, ctxs=None) -> None:
-        """Dispatch one micro-batch of ``(query, k[, precision])``
-        requests to a worker."""
+        """Dispatch one micro-batch of ``(query, k)`` requests to a
+        worker."""
         self._send_batch("batch", worker_id, batch_id, requests, ctxs)
 
     def broadcast_swap(self, snapshot: Snapshot) -> None:

@@ -21,8 +21,8 @@ candidates.  Everything around the plan is written once here —
 submit-time validation, per-round buffers and dispatch, reply
 absorption, drain, ordered results, the swap barrier, stats collection,
 the ``scheduler.query``/``scheduler.route`` spans and the dispatch
-metrics.  A plan supplies only its router, its first-round request,
-what one reply does, and its stats fold.
+metrics.  A plan supplies only its router, what one reply does, and
+its stats fold; every plan's first round carries ``(query, k)``.
 
 Ordering contract: results are keyed by a monotone sequence number
 assigned at :meth:`~MicroBatchScheduler.submit`, and
@@ -132,17 +132,6 @@ class MicroBatchScheduler:
     # ------------------------------------------------------------------
     # The plan (the shard tier overrides these and the router)
     # ------------------------------------------------------------------
-    def _first_request(self, query: int, k: int, precision) -> tuple:
-        """The first-round request tuple of one validated submission.
-
-        ``precision`` rides as its canonical spec string, so
-        mixed-precision traffic batches freely; a default-tier request
-        stays the 2-tuple ``(query, k)`` of the pre-precision protocol.
-        """
-        if precision is None:
-            return (query, k)
-        return (query, k, PrecisionPolicy.parse(precision).spec)
-
     def _on_reply(
         self, round_: str, worker_id: int, seq: int, request: tuple, reply
     ) -> None:
@@ -160,15 +149,15 @@ class MicroBatchScheduler:
         """Route one request; returns its sequence number.
 
         Dispatches the target worker's buffer when it reaches
-        ``batch_size``.  ``precision`` is a spec string or
-        :class:`~repro.query.approx.PrecisionPolicy` (``None`` = the
-        serving default tier).  An unknown node id or a non-positive
-        ``k`` raises here, before any state changes, instead of
-        reaching a worker.
+        ``batch_size``.  Every request is served exactly: ``precision``
+        may be ``None`` or ``"exact"`` (see
+        :class:`~repro.query.approx.PrecisionPolicy`).  An unknown node
+        id, a non-positive ``k`` or another ``precision`` raises here,
+        before any state changes, instead of reaching a worker.
         """
         query = check_node_id(int(query), self.pool.n_nodes, "query")
         k = check_k(int(k))
-        request = self._first_request(query, k, precision)
+        PrecisionPolicy.resolve(precision)
         seq = self._next_seq
         self._next_seq += 1
         worker_id = self.router.route(query, self.pool.n_workers)
@@ -179,7 +168,7 @@ class MicroBatchScheduler:
             self._spans[seq] = self.tracer.start(
                 "scheduler.query", tags={"seq": seq, "query": query, "k": k}
             )
-        self._enqueue(next(iter(self._ROUNDS)), worker_id, seq, request)
+        self._enqueue(next(iter(self._ROUNDS)), worker_id, seq, (query, k))
         return seq
 
     def _enqueue(self, round_: str, worker_id: int, seq: int, request: tuple) -> None:
@@ -299,16 +288,13 @@ class MicroBatchScheduler:
             )
         return [self._results.pop(s) for s in seqs]
 
-    def run(
-        self, queries: Sequence[int], k: int = 5, precision=None
-    ) -> List[TopKResult]:
+    def run(self, queries: Sequence[int], k: int = 5) -> List[TopKResult]:
         """Serve a query stream end-to-end; results in input order.
 
-        The drop-in pool equivalent of
-        ``engine.top_k_many(queries, k, precision=precision)`` — same
-        answers, same order.
+        The drop-in pool equivalent of ``engine.top_k_many(queries, k)``
+        — same answers, same order.
         """
-        seqs = [self.submit(q, k, precision=precision) for q in queries]
+        seqs = [self.submit(q, k) for q in queries]
         self.drain()
         return self.take_results(seqs)
 
@@ -356,8 +342,6 @@ class MicroBatchScheduler:
             "scans_executed": 0,
             "invalidations": 0,
             "snapshot_swaps": 0,
-            "fast_path_queries": 0,
-            "escalated_queries": 0,
         }
         for stats in per_worker:
             for key in list(total)[1:]:  # every counter after "workers"
@@ -365,10 +349,6 @@ class MicroBatchScheduler:
         served = total["queries_served"]
         hits = total["cache_hits"] + total["dedup_hits"]
         total["hit_rate"] = (hits / served) if served else 0.0
-        attempts = total["fast_path_queries"] + total["escalated_queries"]
-        total["escalation_rate"] = (
-            (total["escalated_queries"] / attempts) if attempts else 0.0
-        )
         total["snapshot_epoch"] = _max_epoch(per_worker)
         return total
 

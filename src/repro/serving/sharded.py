@@ -35,8 +35,8 @@ one :func:`~repro.serving.replica.worker_main` loop with a
 protocol table in :mod:`repro.serving.replica`.
 :class:`ShardedScheduler` is the
 :class:`~repro.serving.scheduler.MicroBatchScheduler` with a two-round
-plan: only the routing, the first-round request, the gather's rounds
-and the stats fold are written here.
+plan: only the routing, the gather's rounds and the stats fold are
+written here.
 
 Exactness contract: per-shard scans compute the identical float dot
 products as the single-index kernel and candidates merge through the
@@ -57,7 +57,6 @@ import numpy as np
 from ..core.index_io import load_sharded_index
 from ..exceptions import ServingError
 from ..obs.metrics import MetricsRegistry
-from ..query.approx import PrecisionPolicy
 from ..query.backends import resolve_backend_name
 from ..query.planner import Gather, PlannerStats
 from .replica import (
@@ -313,19 +312,6 @@ class ShardedScheduler(MicroBatchScheduler):
     # ------------------------------------------------------------------
     # The plan
     # ------------------------------------------------------------------
-    def _first_request(self, query: int, k: int, precision) -> tuple:
-        """The exact home-round request, whatever the precision.
-
-        No shard worker holds the full-graph adjacency the CPI fast path
-        multiplies by, so a ``bounded`` request gets a byte-identical
-        exact answer and is counted as escalated, and a ``best_effort``
-        request is promoted to exact — never a looser answer than asked
-        for.
-        """
-        if precision is not None and not PrecisionPolicy.resolve(precision).is_exact:
-            self.stats.escalated_queries += 1
-        return (query, k)
-
     def _on_reply(
         self, round_: str, worker_id: int, seq: int, request: tuple, reply
     ) -> None:
@@ -400,6 +386,4 @@ class ShardedScheduler(MicroBatchScheduler):
         total["shards_skipped"] = plan.shards_skipped
         total["skip_rate"] = plan.skip_rate
         total["mean_fan_out"] = plan.mean_fan_out
-        total["fast_path_queries"] = plan.fast_path_queries
-        total["escalated_queries"] = plan.escalated_queries
         return total

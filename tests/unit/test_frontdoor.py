@@ -125,6 +125,15 @@ class TestWireExactness:
                     assert (response["query"], response["k"]) == (q, k)
                     assert response["epoch"] == 0
                     assert wire_items(response) == engine_items(reference.top_k(q, k))
+                # Naming the exact tier changes nothing: same items, and
+                # no precision or error-bound echo.
+                response = client.request(
+                    {"op": "query", "query": 5, "k": 4, "precision": "exact"}
+                )
+                assert response["status"] == "ok"
+                assert wire_items(response) == engine_items(reference.top_k(5, 4))
+                assert "precision" not in response
+                assert "error_bound" not in response
 
 
 class TestProtocolAndOps:
@@ -156,6 +165,17 @@ class TestProtocolAndOps:
             ({"op": "query", "query": 0, "k": 0}, "positive integer"),
             ({"op": "query", "query": 0, "k": "five"}, "positive integer"),
             ({"op": "query", "query": 0, "timeout_ms": -3}, "positive number"),
+            ({"op": "query", "query": 0, "precision": "bounded"}, "only 'exact'"),
+            (
+                {"op": "query", "query": 0, "precision": "best_effort(0.01)"},
+                "only 'exact'",
+            ),
+            ({"op": "query", "query": 0, "precision": 3}, "only 'exact'"),
+            ({"op": "query", "query": 0, "eps": 0.1}, "eps"),
+            (
+                {"op": "query", "query": 0, "precision": "exact", "eps": 0.1},
+                "eps",
+            ),
         ],
     )
     def test_invalid_requests_answer_error(self, snapshot, payload, fragment):

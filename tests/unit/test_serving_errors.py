@@ -196,13 +196,14 @@ class TestPoolBootFailure:
 
 class TestSubmitValidation:
     """A bad request raises at submit and changes nothing: no sequence
-    number, routing or escalation is counted, and the same worker
-    processes answer the next request exactly."""
+    number or routing is counted, and the same worker processes answer
+    the next request exactly."""
 
     BAD = [
-        (N, 5, NodeNotFoundError),
-        (-1, 5, NodeNotFoundError),
-        (3, 0, InvalidParameterError),
+        (N, 5, None, NodeNotFoundError),
+        (-1, 5, None, NodeNotFoundError),
+        (3, 0, None, InvalidParameterError),
+        (3, 5, "bounded", InvalidParameterError),
     ]
 
     @pytest.fixture(params=["replica", "sharded"])
@@ -219,10 +220,9 @@ class TestSubmitValidation:
     def test_bad_request_changes_nothing(self, tier):
         pool, scheduler = tier
         pids = [p.pid for p in pool._workers]
-        for query, k, error in self.BAD:
-            for precision in (None, "bounded"):
-                with pytest.raises(error):
-                    scheduler.submit(query, k, precision=precision)
+        for query, k, precision, error in self.BAD:
+            with pytest.raises(error):
+                scheduler.submit(query, k, precision=precision)
         assert scheduler.routed_counts == [0] * pool.n_workers
         assert scheduler.outstanding == 0
         seq = scheduler.submit(3, 5)
@@ -233,7 +233,6 @@ class TestSubmitValidation:
         assert got.items == want.items
         agg = scheduler.aggregate_stats(scheduler.collect_stats())
         assert agg["queries_served"] == 1
-        assert agg["escalated_queries"] == 0
         assert [p.pid for p in pool._workers] == pids
         assert all(p.is_alive() for p in pool._workers)
 
