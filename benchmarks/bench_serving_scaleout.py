@@ -12,9 +12,10 @@ published snapshot of a scale-free graph:
    batch size 1 is the queue-round-trip-per-query floor, and the sweep
    shows where amortisation saturates.
 3. **routing policy** — consistent-hash affinity sends repeated roots
-   to the same replica, so its private LRU absorbs them; round-robin
-   spreads them thin.  Same stream, same workers — the cache hit-rate
-   gap is pure routing.
+   to the same replica; round-robin spreads them.  The answer cache
+   sits at the scheduler, so a repeated ``(query, k)`` reaches no
+   worker under either router: same stream, same workers, the same
+   hit rate, and only where the misses run differs.
 4. **update churn soak** — queries interleaved with publisher batches
    and snapshot hot-swaps, with a single-process reference asserting
    the pool's answers stay **bit-identical** across every swap.
@@ -23,8 +24,9 @@ Regression gate (machine-independent, ROADMAP item 4(b))
 --------------------------------------------------------
 Wall-clock numbers are trajectory only.  ``--check BENCH_scaleout.json``
 gates on the **invariants** — booleans that hold on any hardware:
-churn-soak bit-identity, full answer accounting, the consistent-hash
-hit-rate win on a zipf stream and live telemetry artifacts.  A
+churn-soak bit-identity, full answer accounting, a consistent-hash
+hit rate no lower than round-robin's on a zipf stream and live
+telemetry artifacts.  A
 committed invariant that flips (or goes missing) exits 1; numbers
 drifting is fine, semantics drifting is not.
 
@@ -148,7 +150,7 @@ def bench_routing(snapshot, workers, queries, batch_size) -> Dict:
             f"{row['scans_executed']} scans"
         )
     gain = rows["hash"]["hit_rate"] - rows["rr"]["hit_rate"]
-    print(f"  affinity hit-rate gain over round-robin: +{gain:.3f}")
+    print(f"  hit-rate difference, hash minus round-robin: {gain:+.3f}")
     return rows
 
 
@@ -402,7 +404,8 @@ def main() -> int:
     )
     gain = (results["routing"]["hash"]["hit_rate"]
             - results["routing"]["rr"]["hit_rate"])
-    print(f"consistent-hash affinity: +{gain:.3f} cache hit rate over round-robin")
+    print(f"consistent-hash affinity: {gain:+.3f} hit rate against round-robin "
+          "(the answer cache is the scheduler's, shared by both routers)")
 
     invariants = collect_invariants(results)
     results["invariants"] = invariants

@@ -612,8 +612,6 @@ def _cmd_serve(args) -> int:
             ignored.append("--workers (the pool runs one worker per shard)")
         if args.router != "rr":
             ignored.append("--router (routing is by home shard)")
-        if args.cache_size != 1024:
-            ignored.append("--cache-size (shard workers merge partials, no result cache)")
         if ignored:
             print("note: --sharded ignores " + "; ".join(ignored))
     if args.sharded or args.workers:
@@ -742,7 +740,7 @@ def _serving_tier(args, registry, tracer):
         )
         snapshot = publisher.publish()
         if args.sharded:
-            pool = ShardPool(snapshot)
+            pool = ShardPool(snapshot, cache_size=args.cache_size)
         else:
             pool = ReplicaPool(snapshot, args.workers or 2, cache_size=args.cache_size)
         with pool:
@@ -1416,7 +1414,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(0 = run until signalled)",
     )
     p_serve.add_argument("--k", type=int, default=5, help="default k for query lines")
-    p_serve.add_argument("--cache-size", type=int, default=1024)
+    p_serve.add_argument(
+        "--cache-size",
+        type=int,
+        default=1024,
+        help="answer-cache entries: the engine's LRU when serving "
+        "in-process; with --workers, --sharded or --port, the scheduler's "
+        "gather-side cache (the workers keep none); 0 keeps none",
+    )
     p_serve.add_argument(
         "--max-rank",
         type=int,
@@ -1513,7 +1518,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_load.add_argument("--dist", default="zipf", choices=("zipf", "uniform"))
     p_load.add_argument("--k", type=int, default=10)
     p_load.add_argument("--seed", type=int, default=0)
-    p_load.add_argument("--cache-size", type=int, default=1024)
+    p_load.add_argument(
+        "--cache-size",
+        type=int,
+        default=1024,
+        help="entries of the scheduler's gather-side answer cache in pool "
+        "mode (the workers keep none; a --connect run uses the server's "
+        "own); 0 keeps none",
+    )
     p_load.add_argument(
         "--update-every",
         type=int,

@@ -18,12 +18,11 @@ between them:
   worker message loop of both pools, and its docstring holds the one
   wire-protocol table;
 - :mod:`repro.serving.router` — :class:`RoundRobinRouter` (load
-  spread) and :class:`ConsistentHashRouter` (root→replica affinity for
-  LRU-cache locality);
-- :mod:`repro.serving.scheduler` — :class:`MicroBatchScheduler`,
-  request routing + micro-batch formation + the barrier that makes a
-  snapshot swap invisible to in-flight queries, written once for both
-  pools and driven by a plan of rounds;
+  spread) and :class:`ConsistentHashRouter` (root→replica affinity);
+- :mod:`repro.serving.scheduler` — :class:`MicroBatchScheduler`, the
+  gather-side answer cache + request routing + micro-batch formation +
+  the barrier that makes a snapshot swap invisible to in-flight
+  queries, written once for both pools and driven by a plan of rounds;
 - :mod:`repro.serving.sharded` — :class:`ShardPool` (the replica pool
   with one worker per shard of a format-v6 manifest, each holding
   ``1/n_shards`` of the index) and

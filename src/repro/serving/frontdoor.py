@@ -442,14 +442,17 @@ class FrontDoor:
     # I/O thread: connections, framing, admission
     # ------------------------------------------------------------------
     async def _read_frame(self, reader) -> Optional[dict]:
+        """The next frame's payload, or ``None`` when the client has gone:
+        a connection that closes or resets mid-header or mid-body is a
+        normal disconnect."""
         try:
             header = await reader.readexactly(FRAME_HEADER.size)
+            (length,) = FRAME_HEADER.unpack(header)
+            if length == 0 or length > MAX_FRAME_BYTES:
+                raise ValueError(f"invalid frame length {length}")
+            data = await reader.readexactly(length)
         except (asyncio.IncompleteReadError, ConnectionResetError):
             return None
-        (length,) = FRAME_HEADER.unpack(header)
-        if length == 0 or length > MAX_FRAME_BYTES:
-            raise ValueError(f"invalid frame length {length}")
-        data = await reader.readexactly(length)
         payload = json.loads(data.decode("utf-8"))
         if not isinstance(payload, dict):
             raise ValueError("frame payload must be a JSON object")

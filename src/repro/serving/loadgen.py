@@ -6,9 +6,9 @@ same way.  Two knobs matter for a K-dash replica pool and both are
 modelled here:
 
 - **query skew** — real proximity traffic is zipf-like (a few hot roots
-  dominate).  Skew is what separates the routing policies: consistent
-  hashing turns repetition into per-replica cache hits, round-robin
-  smears it across workers.
+  dominate).  Skew is what the scheduler's gather-side answer cache
+  absorbs: a repeated ``(query, k)`` is answered without reaching a
+  worker, whichever router spreads the misses.
 - **update churn** — a stream can interleave edge-update batches; each
   batch flows through the :class:`~repro.serving.publisher.SnapshotPublisher`
   and hot-swaps the pool, exactly the production write path.

@@ -8,7 +8,7 @@ traffic.  Two pools share every pipe and lifecycle mechanism here:
 
 - :class:`ReplicaPool` — N replicas, each a static
   :class:`~repro.query.engine.QueryEngine` over the whole snapshot
-  (private LRU result cache, private workspace);
+  with a private workspace and no result cache;
 - :class:`~repro.serving.sharded.ShardPool` — one worker per shard of a
   format-v6 manifest, each holding and scanning only its own shard.
 
@@ -18,8 +18,9 @@ newer snapshot epoch lands *between* batches, so no in-flight query is
 dropped and every query is answered by the snapshot that was current
 when it was scheduled.  The pools are deliberately dumb about ordering:
 they move messages.  All scheduling policy (micro-batch formation,
-routing, the swap barrier) lives in
-:class:`~repro.serving.scheduler.MicroBatchScheduler`.
+routing, the swap barrier) and the answer cache live in
+:class:`~repro.serving.scheduler.MicroBatchScheduler`, so a repeated
+request is answered at the gather side and never reaches a worker.
 
 Wire protocol (tuples, first element is the kind):
 
@@ -101,6 +102,7 @@ from ..exceptions import InvalidParameterError, ServingError
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import remote_span
 from ..query.engine import QueryEngine
+from ..validation import check_non_negative_int
 from .snapshot import Snapshot
 
 #: Default seconds the pool waits on worker replies before declaring
@@ -223,9 +225,10 @@ class ReplicaServer:
     #: Request kind -> reply kind.
     REPLIES = {"batch": "results"}
 
-    def __init__(self, worker_id: int, path: str, epoch: int, cache_size: int) -> None:
+    def __init__(self, worker_id: int, path: str, epoch: int) -> None:
+        # No result cache: the scheduler caches answers at the gather side.
         self.engine = QueryEngine(
-            load_index(path), cache_size=cache_size, registry=MetricsRegistry()
+            load_index(path), cache_size=0, registry=MetricsRegistry()
         )
         self.engine.snapshot_epoch = epoch
         self.engine.stats.snapshot_epoch = epoch
@@ -292,7 +295,6 @@ def worker_main(
     snapshot_epoch: int,
     requests,
     replies,
-    cache_size: int,
 ) -> None:
     """Entry point of every pool worker process (module-level for spawn).
 
@@ -304,7 +306,7 @@ def worker_main(
     """
     try:
         epoch = int(snapshot_epoch)
-        server = server_cls(worker_id, snapshot_path, epoch, cache_size)
+        server = server_cls(worker_id, snapshot_path, epoch)
         replies.send(("ready", worker_id, epoch))
         while True:
             message = requests.recv()
@@ -347,9 +349,10 @@ class ReplicaPool:
     n_workers:
         Number of replica processes.
     cache_size:
-        Per-worker LRU result-cache capacity (each replica caches
-        independently — affinity routing is what makes those private
-        caches effective).
+        Capacity of the answer cache that the scheduler driving this
+        pool keeps at the gather side (see
+        :class:`~repro.serving.scheduler.MicroBatchScheduler`); 0 keeps
+        none.  The workers cache nothing.
     timeout:
         Seconds to wait on any worker reply before raising
         :class:`~repro.exceptions.ServingError`.
@@ -376,6 +379,7 @@ class ReplicaPool:
             raise InvalidParameterError(
                 f"n_workers must be positive, got {n_workers!r}"
             )
+        self.cache_size = check_non_negative_int(cache_size, "cache_size")
         if not isinstance(snapshot, Snapshot):
             snapshot = Snapshot(epoch=0, path=str(snapshot))
         self._load_snapshot_meta(snapshot.path)
@@ -400,7 +404,6 @@ class ReplicaPool:
                     snapshot.epoch,
                     request_out,
                     reply_in,
-                    cache_size,
                 ),
                 name=f"{self._WORKER_NAME}-{worker_id}",
                 daemon=True,

@@ -6,11 +6,12 @@ policies, matching the two things a K-dash replica pool can optimise:
 - :class:`RoundRobinRouter` spreads load evenly — best when queries are
   mostly unique and the goal is to keep every worker busy;
 - :class:`ConsistentHashRouter` pins each query *root* to a stable
-  worker — repeated queries for the same root always land on the same
-  replica, so that replica's LRU result cache (and its warm workspace)
-  absorbs them.  Real proximity traffic is heavily skewed, which makes
-  affinity routing the default worth benchmarking
-  (``benchmarks/bench_serving_scaleout.py`` measures the hit-rate gap).
+  worker — queries for the same root always land on the same replica
+  and its warm workspace.  Answers themselves are cached once, at the
+  gather side (:class:`~repro.serving.scheduler.MicroBatchScheduler`),
+  so a repeated ``(query, k)`` reaches no worker under either policy
+  (``benchmarks/bench_serving_scaleout.py`` reports the hit rate of
+  both).
 
 Routing must be *deterministic across processes and runs* — the
 scheduler routes in the parent while results are compared against

@@ -8,9 +8,18 @@ time would spend the cluster on IPC.  The scheduler therefore forms
 buffered per worker; a buffer is flushed as one
 :meth:`~repro.query.engine.QueryEngine.top_k_many` batch when it
 reaches ``batch_size`` (or on :meth:`~MicroBatchScheduler.flush`).
-Batching also feeds the engine's within-batch dedup — skewed traffic
-repeats roots, and a batch of 64 zipf-distributed queries typically
-executes far fewer scans.
+
+K-dash's answer to ``(query, k)`` is exact, so it depends on the
+snapshot alone.  The scheduler therefore keeps a pool's one **answer
+cache**, at the gather side: an LRU of finished answers keyed by the
+submitted ``(query, k)``, plus a table of the keys still in flight.  A
+cached key is answered at :meth:`~MicroBatchScheduler.submit` and a key
+already in flight is attached to the request carrying it, so only the
+first occurrence of a key is routed and dispatched, and a repeated
+request never crosses a pipe.  Skewed traffic repeats roots, so most
+of a zipf stream is answered here.  The capacity is the pool's
+``cache_size``; 0 keeps no answers, finished or in flight.  The workers
+cache nothing.
 
 One scheduler serves both pools.  A **plan** is a table of rounds, each
 with the pool method that dispatches it and the reply kind that answers
@@ -36,10 +45,11 @@ Snapshot hot-swap (:meth:`~MicroBatchScheduler.publish`) is a
 1. flush and drain every outstanding batch — in-flight queries complete
    on the epoch that was current when they were scheduled (nothing is
    dropped, nothing is re-run);
-2. broadcast the new snapshot to all workers;
-3. await one ack per worker.
+2. clear the answer cache, so no answer crosses an epoch;
+3. broadcast the new snapshot to all workers;
+4. await one ack per worker.
 
-After step 3 every subsequent query is served from the new epoch, so a
+After step 4 every subsequent query is served from the new epoch, so a
 stream interleaved with update batches gets *exactly* the semantics of
 a single engine applying the same updates at the same stream positions
 — the equivalence the serving tests assert bit-for-bit.
@@ -47,6 +57,7 @@ a single engine applying the same updates at the same stream positions
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -67,7 +78,8 @@ class MicroBatchScheduler:
     Parameters
     ----------
     pool:
-        The :class:`~repro.serving.replica.ReplicaPool` to drive.
+        The :class:`~repro.serving.replica.ReplicaPool` to drive.  Its
+        ``cache_size`` is the capacity of the scheduler's answer cache.
     router:
         ``"rr"``, ``"hash"``, or a :class:`~repro.serving.router.Router`
         instance.
@@ -85,8 +97,10 @@ class MicroBatchScheduler:
         get a ``scheduler.query`` root span with one ``scheduler.route``
         child per dispatched round; the trace context rides the batch
         envelope to the worker, whose ``worker.*``/``kernel.scan`` spans
-        are absorbed from the reply.  ``None`` = tracing off
-        (wire-identical envelopes).
+        are absorbed from the reply.  A request answered without a
+        dispatch closes its root span with the tag ``cache``: ``"hit"``
+        (a cached answer) or ``"attached"`` (the answer of the same key
+        in flight).  ``None`` = tracing off (wire-identical envelopes).
     """
 
     #: Label of this scheduler's request-latency histogram series.
@@ -120,6 +134,15 @@ class MicroBatchScheduler:
         self._next_batch = 0
         #: Queries routed to each worker (router-balance observability).
         self.routed_counts = [0] * pool.n_workers
+        #: Capacity of the answer cache (0 keeps no answers).
+        self.cache_size: int = pool.cache_size
+        # (query, k) -> finished answer, least recently used first.
+        self._cache: "OrderedDict[Tuple[int, int], TopKResult]" = OrderedDict()
+        # (query, k) in flight -> seqs of the requests attached to it.
+        self._in_flight: Dict[Tuple[int, int], List[int]] = {}
+        #: Requests answered from the cache / attached to a key in flight.
+        self.cache_hits = 0
+        self.dedup_hits = 0
         # Telemetry side tables: submit timestamps and open root spans.
         self._submit_times: Dict[int, float] = {}
         self._spans: Dict[int, object] = {}
@@ -136,7 +159,7 @@ class MicroBatchScheduler:
         self, round_: str, worker_id: int, seq: int, request: tuple, reply
     ) -> None:
         """Act on one request's reply: a replica answers in one round."""
-        self._finish(seq, reply, {"worker": worker_id})
+        self._finish(seq, request, reply, {"worker": worker_id})
 
     def _phase(self, round_: str) -> Dict[str, str]:
         """Telemetry labels of one round: a multi-round plan names it."""
@@ -146,11 +169,13 @@ class MicroBatchScheduler:
     # Submission
     # ------------------------------------------------------------------
     def submit(self, query: int, k: int = 5, precision=None) -> int:
-        """Route one request; returns its sequence number.
+        """Admit one request; returns its sequence number.
 
-        Dispatches the target worker's buffer when it reaches
-        ``batch_size``.  Every request is served exactly: ``precision``
-        may be ``None`` or ``"exact"`` (see
+        A cached ``(query, k)`` is answered at once, and one already in
+        flight is attached to the request carrying it; any other is
+        routed, and the target worker's buffer is dispatched when it
+        reaches ``batch_size``.  Every request is served exactly:
+        ``precision`` may be ``None`` or ``"exact"`` (see
         :class:`~repro.query.approx.PrecisionPolicy`).  An unknown node
         id, a non-positive ``k`` or another ``precision`` raises here,
         before any state changes, instead of reaching a worker.
@@ -160,15 +185,29 @@ class MicroBatchScheduler:
         PrecisionPolicy.resolve(precision)
         seq = self._next_seq
         self._next_seq += 1
-        worker_id = self.router.route(query, self.pool.n_workers)
-        self.routed_counts[worker_id] += 1
         if self.metrics.enabled:
             self._submit_times[seq] = perf_counter()
         if self.tracer.enabled and self.tracer.sample():
             self._spans[seq] = self.tracer.start(
                 "scheduler.query", tags={"seq": seq, "query": query, "k": k}
             )
-        self._enqueue(next(iter(self._ROUNDS)), worker_id, seq, (query, k))
+        request = (query, k)
+        if self.cache_size:
+            answer = self._cache.get(request)
+            if answer is not None:
+                self._cache.move_to_end(request)
+                self.cache_hits += 1
+                self._answer(seq, answer, {"cache": "hit"})
+                return seq
+            attached = self._in_flight.get(request)
+            if attached is not None:
+                attached.append(seq)
+                self.dedup_hits += 1
+                return seq
+            self._in_flight[request] = []
+        worker_id = self.router.route(query, self.pool.n_workers)
+        self.routed_counts[worker_id] += 1
+        self._enqueue(next(iter(self._ROUNDS)), worker_id, seq, request)
         return seq
 
     def _enqueue(self, round_: str, worker_id: int, seq: int, request: tuple) -> None:
@@ -259,7 +298,22 @@ class MicroBatchScheduler:
         for (seq, request), reply in zip(batch, replies):
             self._on_reply(round_, worker_id, seq, request, reply)
 
-    def _finish(self, seq: int, result: TopKResult, tags: dict) -> None:
+    def _finish(
+        self, seq: int, request: Tuple[int, int], result: TopKResult, tags: dict
+    ) -> None:
+        """Answer a dispatched request, then every request attached to
+        its ``(query, k)`` while it ran, then cache the answer."""
+        self._answer(seq, result, tags)
+        if not self.cache_size:
+            return
+        for attached in self._in_flight.pop(request, ()):
+            self._answer(attached, result, {"cache": "attached"})
+        cache = self._cache
+        cache[request] = result
+        if len(cache) > self.cache_size:
+            cache.popitem(last=False)
+
+    def _answer(self, seq: int, result: TopKResult, tags: dict) -> None:
         """Record one request's final answer and close its telemetry."""
         self._results[seq] = result
         t_submit = self._submit_times.pop(seq, None)
@@ -307,7 +361,7 @@ class MicroBatchScheduler:
         In-flight batches complete on their scheduled epoch before the
         swap broadcast; queries submitted after :meth:`publish` returns
         are served from the new epoch.  Completed-but-untaken results
-        are kept.
+        are kept; the answer cache is cleared.
         """
         if snapshot.epoch <= self.pool.snapshot.epoch:
             raise InvalidParameterError(
@@ -315,6 +369,7 @@ class MicroBatchScheduler:
                 f"got {snapshot.epoch}"
             )
         self.drain()
+        self._cache.clear()
         self.pool.broadcast_swap(snapshot)
         for _ in range(self.pool.n_workers):
             message = self.pool.recv()
@@ -331,25 +386,42 @@ class MicroBatchScheduler:
         self.drain()
         return self.pool.collect_stats()
 
-    @staticmethod
-    def aggregate_stats(per_worker: Sequence[dict]) -> dict:
-        """Fold per-worker ``EngineStats`` dicts into one pool-level view."""
-        total: Dict[str, object] = {
-            "workers": len(per_worker),
-            "queries_served": 0,
-            "cache_hits": 0,
-            "dedup_hits": 0,
-            "scans_executed": 0,
-            "invalidations": 0,
-            "snapshot_swaps": 0,
-        }
-        for stats in per_worker:
-            for key in list(total)[1:]:  # every counter after "workers"
-                total[key] += stats.get(key, 0)
+    #: The per-worker stats counters the pool-level view sums.
+    _WORKER_COUNTERS: Tuple[str, ...] = (
+        "queries_served",
+        "cache_hits",
+        "dedup_hits",
+        "scans_executed",
+        "invalidations",
+        "snapshot_swaps",
+    )
+
+    def _plan_stats(self) -> dict:
+        """Gather-side plan totals (the shard plan reports its own)."""
+        return {}
+
+    def aggregate_stats(self, per_worker: Sequence[dict]) -> dict:
+        """Fold per-worker stats dicts and this scheduler's own answers
+        into one pool-level view.
+
+        The requests answered here ran no scan: they count in
+        ``queries_served``, the cache hits in ``cache_hits`` and the
+        attached requests in ``dedup_hits``, so ``hit_rate`` is the
+        share of answers that ran no scan.
+        """
+        total: Dict[str, object] = {"workers": len(per_worker)}
+        for key in self._WORKER_COUNTERS:
+            total[key] = sum(stats.get(key, 0) for stats in per_worker)
+        total["snapshot_epoch"] = _max_epoch(per_worker)
+        total.update(self._plan_stats())
+        total["queries_served"] = (
+            total.get("queries_served", 0) + self.cache_hits + self.dedup_hits
+        )
+        total["cache_hits"] = total.get("cache_hits", 0) + self.cache_hits
+        total["dedup_hits"] = total.get("dedup_hits", 0) + self.dedup_hits
         served = total["queries_served"]
         hits = total["cache_hits"] + total["dedup_hits"]
         total["hit_rate"] = (hits / served) if served else 0.0
-        total["snapshot_epoch"] = _max_epoch(per_worker)
         return total
 
 

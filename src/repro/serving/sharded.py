@@ -36,7 +36,8 @@ protocol table in :mod:`repro.serving.replica`.
 :class:`ShardedScheduler` is the
 :class:`~repro.serving.scheduler.MicroBatchScheduler` with a two-round
 plan: only the routing, the gather's rounds and the stats fold are
-written here.
+written here.  It inherits the gather-side answer cache, so a repeated
+``(query, k)`` runs no plan and reaches no shard.
 
 Exactness contract: per-shard scans compute the identical float dot
 products as the single-index kernel and candidates merge through the
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from time import perf_counter
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -67,7 +68,7 @@ from .replica import (
     read_snapshot_header,
 )
 from .router import Router
-from .scheduler import MicroBatchScheduler, _max_epoch
+from .scheduler import MicroBatchScheduler
 from .snapshot import Snapshot
 
 
@@ -86,15 +87,15 @@ class ShardServer:
     The scan dispatches to the kernel backend: worker processes
     inherit ``REPRO_KERNEL_BACKEND`` from the parent, so one environment
     variable selects the backend for the whole shard pool (all backends
-    are bit-identical; see :mod:`repro.query.backends`).  ``cache_size``
-    is unused — partial results merge at the gather side, so caching
-    whole answers belongs there, not here.
+    are bit-identical; see :mod:`repro.query.backends`).  Partial
+    results merge at the gather side, which also caches whole answers
+    (:class:`~repro.serving.scheduler.MicroBatchScheduler`).
     """
 
     #: Request kind -> reply kind.
     REPLIES = {"home": "partial", "remote": "candidates"}
 
-    def __init__(self, worker_id: int, path: str, epoch: int, cache_size: int) -> None:
+    def __init__(self, worker_id: int, path: str, epoch: int) -> None:
         self.worker_id = worker_id
         self._stats: Dict[str, int] = {
             "worker_id": worker_id,
@@ -187,7 +188,7 @@ class ShardPool(ReplicaPool):
         (or v5) manifest, or a plain manifest path, treated as epoch 0.  The
         worker count **is** the manifest's shard count — worker ``i``
         owns shard ``i``.
-    timeout:
+    cache_size, timeout:
         As for :class:`~repro.serving.replica.ReplicaPool`.
 
     Construction, pipes, error surfacing, the swap broadcast and the
@@ -201,11 +202,13 @@ class ShardPool(ReplicaPool):
     #: Shard count of the adopted manifest (``None`` before the first).
     n_shards: Optional[int] = None
 
-    def __init__(self, snapshot, timeout: float = DEFAULT_TIMEOUT) -> None:
+    def __init__(
+        self, snapshot, cache_size: int = 1024, timeout: float = DEFAULT_TIMEOUT
+    ) -> None:
         path = snapshot.path if isinstance(snapshot, Snapshot) else str(snapshot)
         self._load_snapshot_meta(path)
         super().__init__(
-            snapshot, n_workers=self.n_shards, cache_size=0, timeout=timeout
+            snapshot, n_workers=self.n_shards, cache_size=cache_size, timeout=timeout
         )
 
     def _load_snapshot_meta(self, path: str) -> None:
@@ -268,7 +271,8 @@ class ShardedScheduler(MicroBatchScheduler):
     Parameters
     ----------
     pool:
-        The :class:`ShardPool` to drive.
+        The :class:`ShardPool` to drive.  Its ``cache_size`` is the
+        capacity of the scheduler's answer cache.
     batch_size:
         Flush threshold of both the home-round and remote-round
         per-worker buffers.
@@ -326,7 +330,7 @@ class ShardedScheduler(MicroBatchScheduler):
             gather.absorb(reply)
         shard = gather.next_shard()
         if shard is None:
-            self._finalise(seq, self._gathers.pop(seq))
+            self._finalise(seq, request[:2], self._gathers.pop(seq))
         else:
             self._enqueue(
                 "remote",
@@ -335,8 +339,8 @@ class ShardedScheduler(MicroBatchScheduler):
                 (gather.query, gather.k, gather.candidates, gather.seed),
             )
 
-    def _finalise(self, seq: int, gather: Gather) -> None:
-        """Turn a finished gather into the query's result."""
+    def _finalise(self, seq: int, request: tuple, gather: Gather) -> None:
+        """Turn a finished gather into the ``(query, k)`` request's result."""
         plan = gather.plan()
         self.stats.record(plan, self.pool.n_workers)
         if self.metrics.enabled:
@@ -353,6 +357,7 @@ class ShardedScheduler(MicroBatchScheduler):
         result = gather.result()
         self._finish(
             seq,
+            request,
             result,
             {
                 "n_visited": result.n_visited,
@@ -366,24 +371,22 @@ class ShardedScheduler(MicroBatchScheduler):
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
-    def aggregate_stats(self, per_worker: Sequence[dict]) -> dict:
-        """Fold per-worker dicts plus the gather-side plan accounting."""
-        total: Dict[str, object] = {
-            "workers": len(per_worker),
-            "home_queries": 0,
-            "remote_queries": 0,
-            "nodes_checked": 0,
-            "nodes_computed": 0,
-            "snapshot_swaps": 0,
-        }
-        for stats in per_worker:
-            for key in list(total)[1:]:  # every counter after "workers"
-                total[key] += stats[key]
-        total["snapshot_epoch"] = _max_epoch(per_worker)
+    _WORKER_COUNTERS = (
+        "home_queries",
+        "remote_queries",
+        "nodes_checked",
+        "nodes_computed",
+        "snapshot_swaps",
+    )
+
+    def _plan_stats(self) -> dict:
+        """The planned queries' totals; ``skip_rate`` and
+        ``mean_fan_out`` divide by planned queries only."""
         plan = self.stats
-        total["queries_served"] = plan.queries
-        total["shards_visited"] = plan.shards_visited
-        total["shards_skipped"] = plan.shards_skipped
-        total["skip_rate"] = plan.skip_rate
-        total["mean_fan_out"] = plan.mean_fan_out
-        return total
+        return {
+            "queries_served": plan.queries,
+            "shards_visited": plan.shards_visited,
+            "shards_skipped": plan.shards_skipped,
+            "skip_rate": plan.skip_rate,
+            "mean_fan_out": plan.mean_fan_out,
+        }

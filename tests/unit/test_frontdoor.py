@@ -21,6 +21,8 @@ front door adds the SLO machinery these tests drive into every corner:
 
 import contextlib
 import json
+import logging
+import socket
 
 import pytest
 
@@ -220,6 +222,22 @@ class TestProtocolAndOps:
                 response = client.recv()
                 assert response["status"] == "error"
                 assert "invalid frame length" in response["message"]
+
+    def test_client_closing_mid_frame_is_a_normal_disconnect(
+        self, snapshot, caplog
+    ):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with running_door(snapshot) as door:
+                with FrontDoorClient(*door.address) as client:
+                    # The header announces 100 bytes; 10 arrive, then EOF.
+                    client._sock.sendall(FRAME_HEADER.pack(100) + b"x" * 10)
+                    client._sock.shutdown(socket.SHUT_WR)
+                    # The door closes its end once it has read the EOF.
+                    assert client._sock.recv(1) == b""
+                with FrontDoorClient(*door.address) as client:
+                    assert client.ping()["status"] == "ok"
+                assert door.reconciled()
+        assert not [r for r in caplog.records if r.name == "asyncio"]
 
     def test_encode_frame_roundtrip(self):
         frame = encode_frame({"op": "ping", "id": 3})

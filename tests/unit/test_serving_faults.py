@@ -174,9 +174,10 @@ class TestFullPipes:
         """20,000 queries at k = n to one worker: about 140 KB of requests
         go out before any reply is read, and each reply of 32 answers is
         about 27 KB, so both 64 KB pipe buffers fill.  A blocking send
-        would wait on a worker blocked on its own reply."""
+        would wait on a worker blocked on its own reply.  The pool keeps
+        no answer cache, so every repeat goes out too."""
         queries = make_queries(N, 20_000, "uniform", seed=17)
-        with ReplicaPool(snapshot, 1, timeout=TIMEOUT) as pool:
+        with ReplicaPool(snapshot, 1, cache_size=0, timeout=TIMEOUT) as pool:
             got = MicroBatchScheduler(pool, batch_size=32).run(queries, k=N)
         want = QueryEngine(load_index(snapshot.path)).top_k_many(queries, N)
         assert len(got) == len(want) == 20_000
