@@ -612,6 +612,8 @@ def _cmd_serve(args) -> int:
             ignored.append("--workers (the pool runs one worker per shard)")
         if args.router != "rr":
             ignored.append("--router (routing is by home shard)")
+        if args.cache_size != 1024:
+            ignored.append("--cache-size (the answer cache keeps 1,024 answers)")
         if ignored:
             print("note: --sharded ignores " + "; ".join(ignored))
     if args.sharded or args.workers:
@@ -740,7 +742,7 @@ def _serving_tier(args, registry, tracer):
         )
         snapshot = publisher.publish()
         if args.sharded:
-            pool = ShardPool(snapshot, cache_size=args.cache_size)
+            pool = ShardPool(snapshot)
         else:
             pool = ReplicaPool(snapshot, args.workers or 2, cache_size=args.cache_size)
         with pool:
@@ -1419,8 +1421,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="answer-cache entries: the engine's LRU when serving "
-        "in-process; with --workers, --sharded or --port, the scheduler's "
-        "gather-side cache (the workers keep none); 0 keeps none",
+        "in-process; with --workers or --port, the scheduler's gather-side "
+        "cache (the workers keep none); 0 keeps none.  --sharded always "
+        "keeps 1,024",
     )
     p_serve.add_argument(
         "--max-rank",
@@ -1524,7 +1527,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1024,
         help="entries of the scheduler's gather-side answer cache in pool "
         "mode (the workers keep none; a --connect run uses the server's "
-        "own); 0 keeps none",
+        "own); 0 keeps none.  --sharded always keeps 1,024",
     )
     p_load.add_argument(
         "--update-every",

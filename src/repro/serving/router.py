@@ -1,17 +1,17 @@
 """Request routing policies for the replica pool.
 
 A router maps ``(query node, number of workers)`` to a worker id.  Two
-policies, matching the two things a K-dash replica pool can optimise:
+policies:
 
 - :class:`RoundRobinRouter` spreads load evenly — best when queries are
   mostly unique and the goal is to keep every worker busy;
 - :class:`ConsistentHashRouter` pins each query *root* to a stable
-  worker — queries for the same root always land on the same replica
-  and its warm workspace.  Answers themselves are cached once, at the
-  gather side (:class:`~repro.serving.scheduler.MicroBatchScheduler`),
-  so a repeated ``(query, k)`` reaches no worker under either policy
-  (``benchmarks/bench_serving_scaleout.py`` reports the hit rate of
-  both).
+  worker — queries for the same root always land on the same replica.
+  Answers are cached once, at the gather side
+  (:class:`~repro.serving.scheduler.MicroBatchScheduler`), so a
+  repeated ``(query, k)`` reaches no worker under either policy, and
+  both policies read the same hit rate
+  (``benchmarks/bench_serving_scaleout.py`` reports both).
 
 Routing must be *deterministic across processes and runs* — the
 scheduler routes in the parent while results are compared against

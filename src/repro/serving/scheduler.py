@@ -18,8 +18,8 @@ already in flight is attached to the request carrying it, so only the
 first occurrence of a key is routed and dispatched, and a repeated
 request never crosses a pipe.  Skewed traffic repeats roots, so most
 of a zipf stream is answered here.  The capacity is the pool's
-``cache_size``; 0 keeps no answers, finished or in flight.  The workers
-cache nothing.
+``cache_size`` (a fixed 1,024 on the shard pool); 0 keeps no answers,
+finished or in flight.  The workers cache nothing.
 
 One scheduler serves both pools.  A **plan** is a table of rounds, each
 with the pool method that dispatches it and the reply kind that answers

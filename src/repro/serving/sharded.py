@@ -188,12 +188,14 @@ class ShardPool(ReplicaPool):
         (or v5) manifest, or a plain manifest path, treated as epoch 0.  The
         worker count **is** the manifest's shard count — worker ``i``
         owns shard ``i``.
-    cache_size, timeout:
+    timeout:
         As for :class:`~repro.serving.replica.ReplicaPool`.
 
     Construction, pipes, error surfacing, the swap broadcast and the
     shutdown barrier are the replica pool's; only the worker's server
-    and the manifest-derived metadata differ.
+    and the manifest-derived metadata differ.  ``cache_size`` is the
+    replica pool's default, 1,024: the scheduler's answer cache keeps
+    that many answers on this tier.
     """
 
     _SERVER = ShardServer
@@ -202,14 +204,10 @@ class ShardPool(ReplicaPool):
     #: Shard count of the adopted manifest (``None`` before the first).
     n_shards: Optional[int] = None
 
-    def __init__(
-        self, snapshot, cache_size: int = 1024, timeout: float = DEFAULT_TIMEOUT
-    ) -> None:
+    def __init__(self, snapshot, timeout: float = DEFAULT_TIMEOUT) -> None:
         path = snapshot.path if isinstance(snapshot, Snapshot) else str(snapshot)
         self._load_snapshot_meta(path)
-        super().__init__(
-            snapshot, n_workers=self.n_shards, cache_size=cache_size, timeout=timeout
-        )
+        super().__init__(snapshot, n_workers=self.n_shards, timeout=timeout)
 
     def _load_snapshot_meta(self, path: str) -> None:
         """Read the routing metadata every gather side needs.
@@ -271,8 +269,8 @@ class ShardedScheduler(MicroBatchScheduler):
     Parameters
     ----------
     pool:
-        The :class:`ShardPool` to drive.  Its ``cache_size`` is the
-        capacity of the scheduler's answer cache.
+        The :class:`ShardPool` to drive.  Its ``cache_size`` (1,024)
+        is the capacity of the scheduler's answer cache.
     batch_size:
         Flush threshold of both the home-round and remote-round
         per-worker buffers.

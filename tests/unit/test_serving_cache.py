@@ -89,16 +89,12 @@ def snapshots(tmp_path_factory):
 
 @contextlib.contextmanager
 def serving(tier, snapshot, **scheduler_kwargs):
-    """A scheduler over a message-counting wrapper of a fresh pool; a
-    ``cache_size`` keyword goes to the pool."""
-    pool_kwargs = {}
-    if "cache_size" in scheduler_kwargs:
-        pool_kwargs["cache_size"] = scheduler_kwargs.pop("cache_size")
+    """A scheduler over a message-counting wrapper of a fresh pool."""
     if tier == "replica":
-        pool = ReplicaPool(snapshot, 2, **pool_kwargs)
+        pool = ReplicaPool(snapshot, 2)
         make = MicroBatchScheduler
     else:
-        pool = ShardPool(snapshot, **pool_kwargs)
+        pool = ShardPool(snapshot)
         make = ShardedScheduler
     with pool:
         counting = CountingPool(pool)
@@ -145,18 +141,6 @@ class TestGatherSideCache:
         assert after.items != before.items
         assert scheduler.cache_hits == 0
 
-    def test_zero_capacity_sends_every_repeat(self, tier, snapshots):
-        with serving(tier, snapshots[tier], cache_size=0) as (pool, scheduler):
-            first = scheduler.run([5], k=4)[0]
-            sent = pool.messages
-            again = scheduler.run([5], k=4)[0]
-            assert pool.messages > sent
-            agg = scheduler.aggregate_stats(scheduler.collect_stats())
-        assert again.items == first.items
-        assert agg["queries_served"] == 2
-        assert agg["cache_hits"] == agg["dedup_hits"] == 0
-        assert agg["hit_rate"] == 0.0
-
     def test_aggregate_stats_count_the_scheduler_answers(self, tier, snapshots):
         with serving(tier, snapshots[tier]) as (pool, scheduler):
             scheduler.run([5, 5, 9], k=4)  # one attached
@@ -194,3 +178,20 @@ class TestGatherSideCache:
             assert [r["name"] for r in tracer.export() if r["trace_id"] == trace] == [
                 "scheduler.query"
             ]
+
+
+def test_zero_capacity_sends_every_repeat(snapshots):
+    """``ReplicaPool(cache_size=0)`` keeps no answers; the shard pool's
+    capacity is fixed at 1,024."""
+    with ReplicaPool(snapshots["replica"], 2, cache_size=0) as pool:
+        counting = CountingPool(pool)
+        scheduler = MicroBatchScheduler(counting, batch_size=4)
+        first = scheduler.run([5], k=4)[0]
+        sent = counting.messages
+        again = scheduler.run([5], k=4)[0]
+        assert counting.messages > sent
+        agg = scheduler.aggregate_stats(scheduler.collect_stats())
+    assert again.items == first.items
+    assert agg["queries_served"] == 2
+    assert agg["cache_hits"] == agg["dedup_hits"] == 0
+    assert agg["hit_rate"] == 0.0
